@@ -1,15 +1,12 @@
-// Dynamic vs. exact vs. approximate measure maintenance over a trajectory
-// frame sweep — the three tiers of viz::MeasureEngine, measured at the
-// kernel level on the paper-scale 1000-residue RIN.
+// Exact vs. sampled measure maintenance over a trajectory frame sweep —
+// the tiers of viz::MeasureEngine, measured at the kernel level on the
+// paper-scale 1000-residue RIN.
 //
 // Per frame switch a fraction of the edge set flips (thermal motion at a
 // fixed cutoff). The medians land in BENCH_measures_dynamic.json:
-//   - dynamic Closeness (exact level repair) and dynamic Betweenness
-//     (diff-maintained KADABRA sample set, bounds stated) vs. the exact
-//     from-scratch CSR kernels;
-//   - the honest exact-repair Betweenness row, whose global sigma cascades
-//     are why the engine's cost model routes betweenness to the sampled
-//     path (see EXPERIMENTS.md for the regime analysis);
+//   - the exact from-scratch CSR kernels (what every exact read runs);
+//   - dynamic Betweenness: the diff-maintained KADABRA sample set, with
+//     its (eps, delta) bound stated per frame;
 //   - cold sampling per frame, for the warm-vs-cold comparison.
 #include <benchmark/benchmark.h>
 
@@ -20,8 +17,6 @@
 
 #include "src/centrality/approx_closeness.hpp"
 #include "src/centrality/kadabra.hpp"
-#include "src/dyn/dyn_betweenness.hpp"
-#include "src/dyn/dyn_closeness.hpp"
 #include "src/dyn/dyn_kadabra.hpp"
 #include "src/dyn/edge_batch.hpp"
 #include "src/md/synthetic.hpp"
@@ -46,9 +41,9 @@ const md::Trajectory& sweepTrajectory() {
         // scrubbing adjacent frames at high temporal resolution, where a
         // handful of contacts flip per step (~0.1% of edges here). Default
         // parameters churn ~25% of the edge set per frame — a rebuild-sized
-        // regime where every dynamic kernel loses and the engine's cost
-        // model (fallbackDiffFraction, EWMA timings) falls back to tier 1;
-        // EXPERIMENTS.md records that crossover from a sigma sweep.
+        // regime where the warm sample set loses and the engine's cost
+        // model (fallbackDiffFraction, EWMA timings) resamples from
+        // scratch; EXPERIMENTS.md records that crossover from a sigma sweep.
         gen.thermalSigma = 0.0005;
         gen.breathingAmplitude = 0.00005;
         return md::TrajectoryGenerator(gen).generate(md::helixBundle(kResidues));
@@ -62,7 +57,7 @@ double median(std::vector<double> xs) {
     return xs[xs.size() / 2];
 }
 
-// Tier 1 baseline: from-scratch CSR kernel per frame.
+// Exact baseline: from-scratch CSR kernel per frame.
 void BM_FrameSweepExact(benchmark::State& state) {
     const auto measure = state.range(0) == 0 ? viz::Measure::Closeness
                                              : viz::Measure::Betweenness;
@@ -85,53 +80,7 @@ void BM_FrameSweepExact(benchmark::State& state) {
     state.counters["edges"] = static_cast<double>(rin.graph().numberOfEdges());
 }
 
-// Tier 2, exact kernels: batch-dynamic repair of stored per-source BFS
-// state from the DynamicRin edge diff. The Betweenness row is kept honest:
-// sigma cascades are global on this graph class, so exact repair loses to
-// the from-scratch kernel — the measurement that justifies routing
-// betweenness to the sampled dynamic path below.
-void BM_FrameSweepDynamic(benchmark::State& state) {
-    const bool closeness = state.range(0) == 0;
-    rin::DynamicRin rin(sweepTrajectory(), rin::DistanceCriterion::MinimumAtomDistance,
-                        kCutoff);
-    dyn::DynCloseness dc;
-    dyn::DynBetweenness db;
-    if (closeness)
-        dc.init(CsrView::fromGraph(rin.graph()));
-    else
-        db.init(CsrView::fromGraph(rin.graph()));
-
-    std::vector<double> frameMs;
-    double diffEdges = 0.0, totalEdges = 0.0, sweeps = 0.0;
-    index frame = 0;
-    for (auto _ : state) {
-        frame = (frame + 1) % kFrames;
-        const auto stats = rin.setFrame(frame);
-        diffEdges += static_cast<double>(stats.edgesAdded + stats.edgesRemoved);
-        totalEdges += static_cast<double>(stats.edgesTotal);
-        sweeps += 1.0;
-        const dyn::EdgeBatch batch{&rin.lastAdded(), &rin.lastRemoved()};
-        Timer t;
-        const auto v = CsrView::fromGraph(rin.graph());
-        if (closeness) {
-            dc.update(v, batch);
-            auto scores = dc.scores(/*harmonic=*/false);
-            benchmark::DoNotOptimize(scores.data());
-        } else {
-            db.update(v, batch);
-            auto scores = db.scores();
-            benchmark::DoNotOptimize(scores.data());
-        }
-        frameMs.push_back(t.elapsedMs());
-    }
-    state.SetLabel(closeness ? "Closeness" : "Betweenness");
-    state.counters["median_ms"] = median(frameMs);
-    state.counters["diff_fraction"] =
-        totalEdges == 0.0 ? 0.0 : diffEdges / totalEdges;
-    state.counters["diff_edges"] = sweeps == 0.0 ? 0.0 : diffEdges / sweeps;
-}
-
-// Tier 2/3 hybrid, sampled kernel: the engine's actual warm betweenness
+// Sampled kernel, warm: the engine's actual warm betweenness
 // path under a tolerance — the KADABRA sample set is primed once and then
 // diff-maintained, redrawing only samples whose shortest-path DAG moved.
 // Results carry the a-priori (eps, delta) bound at every frame.
@@ -172,7 +121,7 @@ void BM_FrameSweepDynamicSampled(benchmark::State& state) {
         totalEdges == 0.0 ? 0.0 : diffEdges / totalEdges;
 }
 
-// Tier 3, cold: sampling from scratch per frame, an (eps, delta) bound but
+// Sampled kernel, cold: sampling from scratch per frame, an (eps, delta) bound but
 // no reuse. Betweenness runs the adaptive KADABRA-style sampler at
 // eps = 0.05; Closeness runs the Eppstein-Wang pivot kernel (which at this
 // n/eps falls back to the exact sweep — reported so the JSON records why
@@ -217,7 +166,6 @@ void configure(benchmark::internal::Benchmark* b) {
 }
 
 BENCHMARK(BM_FrameSweepExact)->Apply(configure)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_FrameSweepDynamic)->Apply(configure)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FrameSweepDynamicSampled)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FrameSweepApprox)->Apply(configure)->Unit(benchmark::kMillisecond);
 

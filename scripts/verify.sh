@@ -7,7 +7,7 @@
 #   --tsan  additionally builds the parallel kernels (centrality /
 #           community: OpenMP array reductions, batched MS-BFS, atomic
 #           local moving), the dynamic-measure kernels (test_dyn: parallel
-#           per-source level repair, array reductions over bc/cnt) plus the
+#           per-source level repair, array reductions over cnt) plus the
 #           serving layer (test_serve: thread pool, session queues,
 #           coalescing) with -fsanitize=thread and runs their suites.
 #   --serve-stress  runs the multi-client serving stress suite
@@ -29,11 +29,13 @@
 #           then a release smoke run of the cold/warm layout ablation
 #           benchmarks (bench_ablation_layout, BM_LayoutCold/BM_LayoutWarm).
 #   --dynamic  runs the dynamic/approximate measure suites (ctest label
-#           dyn: property tests checking repaired results bit-equal — or,
-#           for the sampled kernels, within the stated (eps, delta) bound —
-#           against from-scratch recomputation over randomized diff
-#           sequences) plus the engine-facing widget suite under
-#           ASan/UBSan, then a release smoke run of bench_measures_dynamic.
+#           dyn: property tests checking repaired BFS levels bit-equal and
+#           the diff-maintained KADABRA sample set within its stated
+#           (eps, delta) bound against from-scratch recomputation over
+#           randomized diff sequences, plus the engine's exact-recompute
+#           and sampling tiers) and the engine-facing widget suite under
+#           ASan/UBSan, then a release smoke run of the warm sampled arm
+#           of bench_measures_dynamic.
 #   --cluster  runs the replicated-serving suite (ctest label cluster:
 #           hash-ring stability, autoscaler hysteresis, scale-down
 #           migration with concurrent submitters) under both TSan — the
@@ -172,7 +174,7 @@ if [[ "${1:-}" == "--dynamic" ]]; then
     cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
     cmake --build build-release -j --target bench_measures_dynamic
     ./build-release/bench/bench_measures_dynamic \
-        --benchmark_filter='BM_FrameSweepDynamic' \
+        --benchmark_filter='BM_FrameSweepDynamicSampled' \
         --benchmark_min_time=0.05
     echo "== dynamic OK =="
     exit 0

@@ -6,7 +6,6 @@
 
 #include "src/obs/trace.hpp"
 
-#include "src/centrality/approx_betweenness.hpp"
 #include "src/centrality/approx_closeness.hpp"
 #include "src/centrality/betweenness.hpp"
 #include "src/centrality/closeness.hpp"
@@ -119,110 +118,49 @@ std::vector<double> computeMeasure(const Graph& g, const CsrView& v, Measure m) 
     throw std::invalid_argument("computeMeasure: unknown measure");
 }
 
-int MeasureEngine::dynKernelFor(Measure m) {
-    switch (m) {
-    case Measure::Closeness:
-    case Measure::HarmonicCloseness: return kDynCloseness;
-    case Measure::Betweenness: return kDynBetweenness;
-    case Measure::CoreNumber: return kDynCore;
-    default: return -1;
-    }
+void MeasureEngine::Chain::dropPending() {
+    hasPending = false;
+    pendAdd.clear();
+    pendRem.clear();
 }
 
-bool MeasureEngine::dynPrimed(int k) const {
-    switch (k) {
-    case kDynCloseness: return dynClose_.primed();
-    case kDynBetweenness: return dynBet_.primed();
-    case kDynCore: return dynCore_.primed();
-    case kDynKadabra: return dynKad_.primed();
-    }
-    return false;
-}
-
-std::uint64_t MeasureEngine::dynVersion(int k) const {
-    switch (k) {
-    case kDynCloseness: return dynClose_.version();
-    case kDynBetweenness: return dynBet_.version();
-    case kDynCore: return dynCore_.version();
-    case kDynKadabra: return dynKad_.version();
-    }
-    return 0;
-}
-
-bool MeasureEngine::dynStateCurrent(int k, const Graph& g) const {
-    const DynMeta& meta = dynMeta_[static_cast<size_t>(k)];
-    return dynPrimed(k) && !meta.hasPending && meta.n == g.numberOfNodes() &&
-           dynVersion(k) == g.version();
-}
-
-bool MeasureEngine::dynUpdateEligible(int k, const Graph& g) const {
-    const DynMeta& meta = dynMeta_[static_cast<size_t>(k)];
-    if (!dynPrimed(k) || !meta.chainValid || !meta.hasPending) return false;
-    if (meta.target != g.version() || meta.n != g.numberOfNodes()) return false;
-    if (g.numberOfNodes() > opts_.dynStateMaxNodes) return false;
+bool MeasureEngine::sampleUpdateEligible(const Graph& g) const {
+    if (!dynKad_.primed() || !chain_.hasPending) return false;
+    if (chain_.target != g.version() || chain_.n != g.numberOfNodes()) return false;
     const double diff =
-        static_cast<double>(meta.pendAdd.size() + meta.pendRem.size());
+        static_cast<double>(chain_.pendAdd.size() + chain_.pendRem.size());
     const double edges = static_cast<double>(std::max<count>(g.numberOfEdges(), 1));
     if (diff > opts_.fallbackDiffFraction * edges) return false;
-    // Span-fed cost model: once updates have been observed to cost more
-    // than recomputing, stop repairing until the state is re-primed.
-    if (meta.ewmaDyn >= 0.0 && meta.ewmaExact >= 0.0 && meta.ewmaDyn > meta.ewmaExact)
+    // Span-fed cost model: once the EWMA of warm updates exceeds the EWMA
+    // of primes, later reads re-prime (cold init) instead of updating. A
+    // prime feeds only ewmaExact and never resets ewmaDyn, so the gate
+    // stays shut until primes get more expensive than the updates were.
+    if (chain_.ewmaDyn >= 0.0 && chain_.ewmaExact >= 0.0 &&
+        chain_.ewmaDyn > chain_.ewmaExact)
         return false;
     return true;
-}
-
-std::vector<double> MeasureEngine::dynScores(int k, Measure m) const {
-    switch (k) {
-    case kDynCloseness:
-        return dynClose_.scores(m == Measure::HarmonicCloseness, true);
-    case kDynBetweenness: return dynBet_.scores(true);
-    case kDynCore: return dynCore_.scores();
-    }
-    throw std::logic_error("MeasureEngine: no dynamic kernel");
-}
-
-void MeasureEngine::chainDiff(DynMeta& meta, std::uint64_t kernelVersion,
-                              std::uint64_t fromVersion, std::uint64_t toVersion,
-                              const std::vector<std::pair<node, node>>& added,
-                              const std::vector<std::pair<node, node>>& removed) {
-    const std::uint64_t base = meta.hasPending ? meta.target : kernelVersion;
-    if (base != fromVersion) {
-        // Version gap: a diff we never saw moved the graph. The stored
-        // state can no longer be repaired; the next exact read re-primes.
-        meta.chainValid = false;
-        meta.hasPending = false;
-        meta.pendAdd.clear();
-        meta.pendRem.clear();
-        return;
-    }
-    if (meta.hasPending) {
-        dyn::composeDiff(meta.pendAdd, meta.pendRem, added, removed);
-    } else {
-        meta.pendAdd = added;
-        meta.pendRem = removed;
-    }
-    meta.target = toVersion;
-    meta.hasPending = true;
-    meta.chainValid = true;
 }
 
 void MeasureEngine::noteDiff(const Graph& g, std::uint64_t fromVersion,
                              const std::vector<std::pair<node, node>>& added,
                              const std::vector<std::pair<node, node>>& removed) {
-    if (!opts_.dynamicMeasures) return;
-    const std::uint64_t to = g.version();
-    for (int k = 0; k < kNumDynKernels; ++k) {
-        DynMeta& meta = dynMeta_[static_cast<size_t>(k)];
-        if (!dynPrimed(k)) continue;
-        if (meta.n != g.numberOfNodes()) {
-            meta.chainValid = false;
-            meta.hasPending = false;
-            meta.pendAdd.clear();
-            meta.pendRem.clear();
-            continue;
-        }
-        chainDiff(meta, dynVersion(k), fromVersion, to, added, removed);
+    if (!opts_.dynamicMeasures || !dynKad_.primed()) return;
+    const std::uint64_t base = chain_.hasPending ? chain_.target : dynKad_.version();
+    if (chain_.n != g.numberOfNodes() || base != fromVersion) {
+        // Node-count change or version gap: a diff we never saw moved the
+        // graph, so the samples can no longer be repaired; the next
+        // tolerant read re-primes.
+        chain_.dropPending();
+        return;
     }
+    if (chain_.hasPending) {
+        dyn::composeDiff(chain_.pendAdd, chain_.pendRem, added, removed);
+    } else {
+        chain_.pendAdd = added;
+        chain_.pendRem = removed;
+    }
+    chain_.target = g.version();
+    chain_.hasPending = true;
 }
 
 void MeasureEngine::storeExact(const Graph& g, Measure m, std::vector<double> scores) {
@@ -239,11 +177,8 @@ void MeasureEngine::storeExact(const Graph& g, Measure m, std::vector<double> sc
 }
 
 void MeasureEngine::invalidateDynamic() {
-    dynClose_.reset();
-    dynBet_.reset();
-    dynCore_.reset();
     dynKad_.reset();
-    for (auto& meta : dynMeta_) meta = DynMeta{};
+    chain_ = Chain{};
 }
 
 const std::vector<double>& MeasureEngine::scores(const Graph& g, Measure m,
@@ -286,25 +221,12 @@ const std::vector<double>& MeasureEngine::scores(const Graph& g, Measure m,
         return finish(s.scores);
     };
 
-    // Tier 1a: fresh exact always serves — including tolerance > 0
-    // requests (exact trivially satisfies any bound).
+    // Fresh exact always serves — including tolerance > 0 requests (exact
+    // trivially satisfies any bound).
     if (ex.valid && ex.g == &g && ex.version == ver) return serveSlot(ex, ResolutionTier::Exact);
-    // Tier 1b: fresh approximate serves iff its guarantee is tight enough.
+    // Fresh approximate serves iff its guarantee is tight enough.
     if (effTol > 0.0 && ap.valid && ap.g == &g && ap.version == ver && ap.eps <= effTol)
         return serveSlot(ap, ResolutionTier::Approx);
-
-    // Tier 1c: the dynamic state is already at this version (the sibling
-    // measure of a shared kernel computed or repaired it) — read it off.
-    const int dk = dynKernelFor(m);
-    if (dk >= 0 && dynStateCurrent(dk, g)) {
-        ex.scores = dynScores(dk, m);
-        ex.version = ver;
-        ex.g = &g;
-        ex.valid = true;
-        ex.eps = ex.delta = 0.0;
-        ex.samples = 0;
-        return serveSlot(ex, ResolutionTier::Exact);
-    }
 
     // Last rung: under Stale degradation a right-sized result for an older
     // version beats any recomputation.
@@ -320,93 +242,43 @@ const std::vector<double>& MeasureEngine::scores(const Graph& g, Measure m,
 
     const CsrView& v = snapshot_.get(g);
 
-    // Tier 2: diff-driven repair of the stored per-source state — exact
-    // results without a recompute.
-    if (dk >= 0 && dynUpdateEligible(dk, g)) {
-        DynMeta& meta = dynMeta_[static_cast<size_t>(dk)];
-        const count diffEdges = meta.pendAdd.size() + meta.pendRem.size();
-        dyn::EdgeBatch batch{&meta.pendAdd, &meta.pendRem};
-        const auto t0 = std::chrono::steady_clock::now();
-        {
-            obs::ScopedSpan upd("engine.dynamic_update");
-            upd.attr("measure", measureName(m));
-            upd.attr("diff_edges", diffEdges);
-            switch (dk) {
-            case kDynCloseness: dynClose_.update(v, batch); break;
-            case kDynBetweenness: dynBet_.update(v, batch); break;
-            case kDynCore: dynCore_.update(v, batch); break;
-            }
-        }
-        feedEwma(meta.ewmaDyn, elapsedMs(t0));
-        meta.hasPending = false;
-        meta.pendAdd.clear();
-        meta.pendRem.clear();
-        ex.scores = dynScores(dk, m);
-        ex.version = ver;
-        ex.g = &g;
-        ex.valid = true;
-        ex.eps = ex.delta = 0.0;
-        ex.samples = 0;
-        out.tier = ResolutionTier::Dynamic;
-        out.cacheHit = false;
-        out.diffEdges = diffEdges;
-        return finish(ex.scores);
-    }
-
-    // Tier 3: sampled approximation with an explicit (epsilon, delta).
+    // Sampled approximation with an explicit (epsilon, delta).
     if (effTol > 0.0) {
         bool ran = false;
-        const auto t0 = std::chrono::steady_clock::now();
         if (m == Measure::Betweenness) {
             obs::ScopedSpan apx("engine.approx");
             apx.attr("measure", measureName(m));
-            DynMeta& meta = dynMeta_[kDynKadabra];
             // Warm path: the maintained sample set is one small diff behind
             // and its standing bound satisfies this request — redraw only
             // the affected samples instead of sampling from scratch.
-            if (opts_.adaptiveSampling && dynUpdateEligible(kDynKadabra, g) &&
-                dynKad_.achievedEpsilon() <= effTol) {
-                const count diffEdges = meta.pendAdd.size() + meta.pendRem.size();
-                dyn::EdgeBatch batch{&meta.pendAdd, &meta.pendRem};
+            if (sampleUpdateEligible(g) && dynKad_.achievedEpsilon() <= effTol) {
+                const count diffEdges = chain_.pendAdd.size() + chain_.pendRem.size();
                 const auto ta = std::chrono::steady_clock::now();
-                dynKad_.update(v, batch);
-                feedEwma(meta.ewmaDyn, elapsedMs(ta));
-                meta.hasPending = false;
-                meta.pendAdd.clear();
-                meta.pendRem.clear();
+                dynKad_.update(v, dyn::EdgeBatch{&chain_.pendAdd, &chain_.pendRem});
+                feedEwma(chain_.ewmaDyn, elapsedMs(ta));
+                chain_.dropPending();
                 apx.attr("diff_edges", diffEdges);
                 apx.attr("resampled", dynKad_.lastResampled());
                 ap.scores = dynKad_.scores();
                 ap.eps = dynKad_.achievedEpsilon();
                 ap.samples = dynKad_.numberOfSamples();
                 out.diffEdges = diffEdges;
-            } else if (opts_.adaptiveSampling && opts_.dynamicMeasures && n >= 2 &&
-                       n <= opts_.dynStateMaxNodes) {
-                // Cold sampling doubles as the prime of the dynamic sample
-                // state, like the exact kernels' init.
+            } else if (opts_.dynamicMeasures && n >= 2 && n <= opts_.dynStateMaxNodes) {
+                // Cold sampling doubles as the prime of the sample state.
                 const auto ta = std::chrono::steady_clock::now();
                 dynKad_.init(v, effTol, delta, opts_.seed);
-                feedEwma(meta.ewmaExact, elapsedMs(ta));
-                meta.chainValid = true;
-                meta.hasPending = false;
-                meta.pendAdd.clear();
-                meta.pendRem.clear();
-                meta.n = n;
+                feedEwma(chain_.ewmaExact, elapsedMs(ta));
+                chain_.dropPending();
+                chain_.n = n;
                 ap.scores = dynKad_.scores();
                 ap.eps = dynKad_.achievedEpsilon();
                 ap.samples = dynKad_.numberOfSamples();
-            } else if (opts_.adaptiveSampling) {
+            } else {
                 KadabraBetweenness kb(g, effTol, delta, opts_.seed);
                 kb.run(v);
                 ap.scores = kb.scores();
                 ap.eps = kb.achievedEpsilon();
                 ap.samples = kb.numberOfSamples();
-            } else {
-                ApproxBetweenness rk(g, effTol, delta, opts_.seed);
-                rk.run(v);
-                ap.scores = rk.scores();
-                ap.eps = effTol;
-                ap.samples = rk.numberOfSamples();
             }
             ran = true;
         } else if (m == Measure::Closeness || m == Measure::HarmonicCloseness) {
@@ -439,44 +311,11 @@ const std::vector<double>& MeasureEngine::scores(const Graph& g, Measure m,
             out.delta = ap.delta;
             out.samples = ap.samples;
             span.attr("approx", true);
-            (void)t0;
             return finish(ap.scores);
         }
     }
 
-    // Tier 1 (compute): exact recompute. For dyn-capable measures on graphs
-    // under the state cap, the recompute *is* the kernel's init — priming
-    // the repair state as a side effect at the same asymptotic cost.
-    const bool prime = dk >= 0 && opts_.dynamicMeasures && n >= 2 &&
-                       n <= opts_.dynStateMaxNodes;
-    const auto t0 = std::chrono::steady_clock::now();
-    if (prime) {
-        {
-            obs::ScopedSpan init("engine.dynamic_init");
-            init.attr("measure", measureName(m));
-            switch (dk) {
-            case kDynCloseness: dynClose_.init(v); break;
-            case kDynBetweenness: dynBet_.init(v); break;
-            case kDynCore: dynCore_.init(v); break;
-            }
-        }
-        DynMeta& meta = dynMeta_[static_cast<size_t>(dk)];
-        meta.chainValid = true;
-        meta.hasPending = false;
-        meta.pendAdd.clear();
-        meta.pendRem.clear();
-        meta.n = n;
-        ex.scores = dynScores(dk, m);
-        feedEwma(meta.ewmaExact, elapsedMs(t0));
-    } else {
-        ex.scores = computeMeasure(g, v, m);
-        if (dk >= 0) feedEwma(dynMeta_[static_cast<size_t>(dk)].ewmaExact, elapsedMs(t0));
-    }
-    ex.version = ver;
-    ex.g = &g;
-    ex.valid = true;
-    ex.eps = ex.delta = 0.0;
-    ex.samples = 0;
+    storeExact(g, m, computeMeasure(g, v, m));
     out.tier = ResolutionTier::Exact;
     out.cacheHit = false;
     return finish(ex.scores);

@@ -6,9 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/dyn/dyn_betweenness.hpp"
-#include "src/dyn/dyn_closeness.hpp"
-#include "src/dyn/dyn_core.hpp"
 #include "src/dyn/dyn_kadabra.hpp"
 #include "src/graph/csr_view.hpp"
 #include "src/graph/graph.hpp"
@@ -61,12 +58,14 @@ std::vector<double> computeMeasure(const Graph& g, const CsrView& view, Measure 
 /// useful than an unbounded one from the past.
 enum class DegradeLevel { None, Approx, Stale };
 
-/// How a result was actually produced — the engine's three-tier resolution
-/// (plus the stale-serve escape hatch). Reported per request so the tier is
-/// visible in span attributes, metrics, and session recordings.
+/// How a result was actually produced — cache/recompute, sampling, or the
+/// stale-serve escape hatch. Reported per request so the tier is visible in
+/// span attributes, metrics, and session recordings.
 enum class ResolutionTier {
-    Exact,   ///< fresh exact: cache hit, dyn-state serve, or full recompute
-    Dynamic, ///< exact, produced by diff-driven repair of stored state
+    Exact,   ///< fresh exact: cache hit or full recompute
+    Dynamic, ///< exact, by diff-driven repair of stored state. The engine
+             ///< no longer produces it; the value stays so tierName() and
+             ///< the measure_tier_* metric names are unchanged.
     Approx,  ///< sampled, with an (epsilon, delta) guarantee
     Stale,   ///< exact or approx, but for an older graph version
 };
@@ -75,35 +74,28 @@ const char* tierName(ResolutionTier t);
 
 /// The widget session's measure engine: one shared CSR snapshot plus a
 /// per-measure result cache, both keyed by Graph::version(), extended with
-/// diff-driven dynamic kernels and sampling approximation.
+/// sampling approximation.
 ///
-/// Every request resolves through a three-tier policy:
+/// Every request resolves through two tiers:
 ///
-///  1. *Cached exact* — switching the measure on an unchanged graph is an
-///     O(1) lookup. Exact and approximate results live in separate slots
-///     keyed by (measure, version, epsilon), so an exact read never serves
-///     a sampled result silently, and vice versa.
-///  2. *Dynamic update* — for Closeness / Harmonic / Betweenness / Core the
-///     engine keeps per-source BFS state (rinkit::dyn) primed by the last
-///     exact computation. When the graph moved by a small diff (fed in via
-///     noteDiff() from DynamicRin's edge lists), the state is repaired
-///     instead of recomputed — exact results at a fraction of the cost. A
-///     cost model (diff fraction, node cap, EWMA of observed update vs
-///     recompute times from the obs spans) decides when repair would be
-///     slower than recomputing and falls back automatically.
-///  3. *Sampled approximation* — when the caller states an error tolerance
+///  1. *Exact* — a cache hit, or computeMeasure() on the shared snapshot.
+///     Switching the measure on an unchanged graph is an O(1) lookup. Exact
+///     and approximate results live in separate slots keyed by (measure,
+///     version, epsilon), so an exact read never serves a sampled result
+///     silently, and vice versa. Exact reads hold no per-source state: the
+///     parallel from-scratch kernels beat diff-driven repair at every edge
+///     churn the interactive workloads produce (see DESIGN.md).
+///  2. *Sampled approximation* — when the caller states an error tolerance
 ///     (Request::tolerance, surfaced as RinWidgetOptions::
 ///     measureErrorTolerance) or the serving layer degrades to
-///     DegradeLevel::Approx, betweenness switches to adaptive sampling
-///     (KADABRA-style; Riondato-Kornaropoulos as the non-adaptive option)
-///     and closeness to pivot sampling — each reporting the (epsilon,
-///     delta) actually achieved in ResultInfo. The betweenness sample set
-///     itself is diff-maintained (dyn::DynKadabra): on small diffs only
-///     the sampled paths whose shortest-path DAG moved are redrawn, so a
-///     warm approx read costs a fraction of a cold sampling run. Exact
-///     dynamic betweenness repair exists too, but its sigma cascades are
-///     global on small-diameter RINs — the cost model learns that and
-///     routes betweenness to the sampled path or a recompute instead.
+///     DegradeLevel::Approx, betweenness switches to adaptive KADABRA-style
+///     sampling and closeness to pivot sampling — each reporting the
+///     (epsilon, delta) actually achieved in ResultInfo. The betweenness
+///     sample set itself is diff-maintained (dyn::DynKadabra, fed by
+///     noteDiff() from DynamicRin's edge lists): on small diffs only the
+///     sampled paths whose shortest-path DAG moved are redrawn, so a warm
+///     approx read costs a fraction of a cold sampling run. Its n x n level
+///     matrix is the only O(n^2) state the engine ever holds.
 ///
 /// DegradeLevel::Stale additionally allows serving a right-sized result for
 /// an older version — the last rung of the ladder, kept from the original
@@ -111,11 +103,13 @@ const char* tierName(ResolutionTier t);
 class MeasureEngine {
 public:
     struct Options {
-        /// Master switch for tier 2 (state priming + diff repair).
+        /// Keep the sampled betweenness state (dyn::DynKadabra) alive across
+        /// noteDiff()'d versions instead of resampling from scratch.
         bool dynamicMeasures = true;
-        /// Dynamic state is O(n^2); above this node count never prime.
+        /// The sample state's level matrix is O(n^2); above this node count
+        /// it is never primed.
         count dynStateMaxNodes = 1536;
-        /// Fall back to recompute when the accumulated diff exceeds this
+        /// Resample from scratch when the accumulated diff exceeds this
         /// fraction of the graph's edges.
         double fallbackDiffFraction = 0.15;
         /// (epsilon, delta) used when the serving layer degrades a request
@@ -124,9 +118,6 @@ public:
         double degradeDelta = 0.1;
         /// delta paired with caller-stated tolerances.
         double approxDelta = 0.1;
-        /// Adaptive (KADABRA-style) betweenness sampling; false pins the
-        /// fixed-size Riondato-Kornaropoulos estimator.
-        bool adaptiveSampling = true;
         std::uint64_t seed = 1;
     };
 
@@ -146,7 +137,7 @@ public:
         double delta = 0.0;   ///< failure probability of that bound
         count samples = 0;    ///< samples/pivots drawn (0 for exact tiers)
         bool cacheHit = false;
-        count diffEdges = 0;  ///< diff size consumed by a Dynamic update
+        count diffEdges = 0;  ///< diff size consumed by a warm sample update
     };
 
     MeasureEngine() = default;
@@ -168,23 +159,21 @@ public:
     /// precompute adoption hook. The caller guarantees @p scores equals
     /// what an exact recompute on @p g would produce (the speculation ran
     /// computeMeasure on an identical edge set); the next scores() read at
-    /// this version is then an O(1) cached-exact hit. Does not prime the
-    /// dynamic kernels — a later cache miss falls through the normal
-    /// ladder unchanged.
+    /// this version is then an O(1) cached-exact hit.
     void storeExact(const Graph& g, Measure m, std::vector<double> scores);
 
     /// Feeds the engine the edge diff that moved @p g from @p fromVersion
     /// to its current version (DynamicRin::lastAdded/lastRemoved). Diffs
-    /// compose across calls; a version gap invalidates the dynamic state
-    /// (next exact read re-primes it).
+    /// compose across calls; a version gap invalidates the sample state
+    /// (the next tolerant betweenness read re-primes it).
     void noteDiff(const Graph& g, std::uint64_t fromVersion,
                   const std::vector<std::pair<node, node>>& added,
                   const std::vector<std::pair<node, node>>& removed);
 
-    /// Drops all dynamic state (graph rebuilt / diff unavailable).
+    /// Drops the maintained sample state (graph rebuilt / diff unavailable).
     void invalidateDynamic();
 
-    /// Drops the snapshot, every cached result, and all dynamic state.
+    /// Drops the snapshot, every cached result, and the sample state.
     void reset();
 
     const Options& options() const { return opts_; }
@@ -200,53 +189,28 @@ private:
         count samples = 0;
     };
 
-    /// Chain bookkeeping for one dynamic kernel (the kernel itself stores
-    /// the per-source state).
-    struct DynMeta {
-        bool chainValid = false; ///< pending diff leads kernel -> current
-        bool hasPending = false;
+    /// Diff chain of the maintained sample set (dynKad_ stores the samples
+    /// and the level matrix).
+    struct Chain {
+        bool hasPending = false;  ///< pending diff leads dynKad_ -> target
         std::uint64_t target = 0; ///< version the pending diff produces
         std::vector<std::pair<node, node>> pendAdd, pendRem;
-        count n = 0;              ///< node count the kernel was primed on
-        double ewmaDyn = -1.0;    ///< EWMA of update cost (ms)
-        double ewmaExact = -1.0;  ///< EWMA of exact/prime cost (ms)
+        count n = 0;              ///< node count dynKad_ was primed on
+        double ewmaDyn = -1.0;    ///< EWMA of warm update cost (ms)
+        double ewmaExact = -1.0;  ///< EWMA of cold prime cost (ms)
+
+        void dropPending();
     };
 
-    /// kDynKadabra is the sampled sibling of the exact kernels: the approx
-    /// tier's betweenness state, diff-maintained like the others but served
-    /// with an (epsilon, delta) bound instead of exactness.
-    enum DynKernel {
-        kDynCloseness = 0,
-        kDynBetweenness = 1,
-        kDynCore = 2,
-        kDynKadabra = 3,
-    };
-    static constexpr int kNumDynKernels = 4;
-
-    /// Dynamic kernel index for @p m, or -1 when it has none.
-    static int dynKernelFor(Measure m);
-
-    void chainDiff(DynMeta& meta, std::uint64_t kernelVersion, std::uint64_t fromVersion,
-                   std::uint64_t toVersion,
-                   const std::vector<std::pair<node, node>>& added,
-                   const std::vector<std::pair<node, node>>& removed);
-
-    bool dynStateCurrent(int k, const Graph& g) const;
-    bool dynUpdateEligible(int k, const Graph& g) const;
-    std::vector<double> dynScores(int k, Measure m) const;
-    bool dynPrimed(int k) const;
-    std::uint64_t dynVersion(int k) const;
+    bool sampleUpdateEligible(const Graph& g) const;
 
     Options opts_{};
     CsrSnapshot snapshot_;
     std::array<Slot, kNumMeasures> exact_{};
     std::array<Slot, kNumMeasures> approx_{};
 
-    dyn::DynCloseness dynClose_;
-    dyn::DynBetweenness dynBet_;
-    dyn::DynCoreDecomposition dynCore_;
     dyn::DynKadabra dynKad_;
-    std::array<DynMeta, kNumDynKernels> dynMeta_{};
+    Chain chain_;
 };
 
 } // namespace rinkit::viz

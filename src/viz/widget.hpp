@@ -64,12 +64,13 @@ struct RinWidgetOptions {
     /// sampling (adaptive betweenness, pivot closeness) whose achieved
     /// (epsilon, delta) is reported in UpdateTiming.
     double measureErrorTolerance = 0.0;
-    /// Diff-driven dynamic measure updates (MeasureEngine tier 2): keep
-    /// per-source BFS state and repair it from DynamicRin's edge diffs
-    /// instead of recomputing.
+    /// Keep the sampled betweenness state alive across DynamicRin's edge
+    /// diffs (MeasureEngine::Options::dynamicMeasures), so a warm tolerant
+    /// read redraws only the affected samples. Exact reads always recompute
+    /// or hit the cache.
     bool dynamicMeasures = true;
-    /// The dynamic state is O(n^2); graphs above this node count are never
-    /// primed (see MeasureEngine::Options::dynStateMaxNodes).
+    /// The sample state's level matrix is O(n^2); graphs above this node
+    /// count are never primed (see MeasureEngine::Options::dynStateMaxNodes).
     count dynStateMaxNodes = 1536;
     /// Speculative precompute: the serving layer may call speculate()
     /// between requests to precompute the predicted next slider tick
