@@ -102,7 +102,7 @@ void BM_ClientPerceivedMeasureUpdate(benchmark::State& state, count residues,
     }
     // After the first recompute every repeat is a version-keyed cache hit,
     // so this sits near 1.0 — the cold cost lives in BM_MeasureRecompute.
-    state.counters["measure_cache_hit"] = window.attrRate("widget.measure", "cache_hit");
+    state.counters["measure_cache_hit"] = window.attrRate("engine.scores", "cache_hit");
     state.counters["edges"] = static_cast<double>(widget.graph().numberOfEdges());
 }
 

@@ -138,7 +138,7 @@ void BM_ClientPerceivedCutoffSwitch(benchmark::State& state, count residues,
     }
     // Every cutoff switch mutates the graph (version bump), so the measure
     // cache must miss on each cycle — a nonzero value here is a bug.
-    state.counters["measure_cache_hit"] = window.attrRate("widget.measure", "cache_hit");
+    state.counters["measure_cache_hit"] = window.attrRate("engine.scores", "cache_hit");
 }
 
 // The delta-protocol workload: a user *dragging* the cutoff slider visits

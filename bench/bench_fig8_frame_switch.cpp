@@ -102,7 +102,7 @@ void BM_ClientPerceivedFrameSwitch(benchmark::State& state, count residues,
     }
     // Frame switches mutate the graph; hits can only appear if a frame's
     // edge diff happened to be empty (version unchanged). Expected ~0.
-    state.counters["measure_cache_hit"] = window.attrRate("widget.measure", "cache_hit");
+    state.counters["measure_cache_hit"] = window.attrRate("engine.scores", "cache_hit");
 }
 
 // Runtime registration: the wire axis comes from the --wire flag, which

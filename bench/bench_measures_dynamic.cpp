@@ -42,7 +42,7 @@ const md::Trajectory& sweepTrajectory() {
         // handful of contacts flip per step (~0.1% of edges here). Default
         // parameters churn ~25% of the edge set per frame — a rebuild-sized
         // regime where the warm sample set loses and the engine's cost
-        // model (fallbackDiffFraction, EWMA timings) resamples from
+        // model (its fallback diff fraction, EWMA timings) resamples from
         // scratch; EXPERIMENTS.md records that crossover from a sigma sweep.
         gen.thermalSigma = 0.0005;
         gen.breathingAmplitude = 0.00005;

@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
                 sampler.open(ctx.traceId);
                 const auto t = widget.setCutoff(high ? 7.5 : 4.5);
                 const double ms = t.serverMs();
-                sampler.finish(ctx.traceId, {ms, false, false, false});
+                sampler.finish(ctx.traceId, {.latencyMs = ms});
                 hist.record(ms, ctx.traceId, tracer.nowUs());
                 pairMs += ms;
             } else {

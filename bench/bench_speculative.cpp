@@ -14,7 +14,7 @@
 //   BM_ColdSceneLod/<residues>/<lod>   worst-case cutoff jumps on a
 //       binary-wire widget: every jump re-keyframes the scene. client_ms
 //       is modeled time-to-first-pixels; with LOD the keyframe ships
-//       coarse-first, so client_ms drops ~lodFactor-fold and the refine
+//       coarse-first, so client_ms drops ~4-fold (the LOD factor) and the refine
 //       delta cost appears separately in client_refine_ms.
 //
 //   BM_InteractiveP99   closed-loop 32-client drag fleet, run twice per

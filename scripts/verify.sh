@@ -6,16 +6,19 @@
 # Usage: scripts/verify.sh [--skip-sanitizers | --tsan | --serve-stress | --obs | --layout | --wire | --dynamic | --cluster | --speculate]
 #   --tsan  additionally builds the parallel kernels (centrality /
 #           community: OpenMP array reductions, batched MS-BFS, atomic
-#           local moving), the dynamic-measure kernels (test_dyn: parallel
-#           per-source level repair, array reductions over cnt) plus the
-#           serving layer (test_serve: thread pool, session queues,
-#           coalescing) with -fsanitize=thread and runs their suites.
+#           local moving), the dynamic suite (test_dyn: BFS level repair,
+#           the diff-maintained KADABRA sample set, the measure engine's
+#           tiers) plus the serving layer (test_serve: thread pool, session
+#           queues, coalescing, the lock-free counter table) with
+#           -fsanitize=thread and runs their suites.
 #   --serve-stress  runs the multi-client serving stress suite
 #           (test_serve_stress, ctest labels serve;slow) under both TSan
 #           and ASan/UBSan.
 #   --obs   runs the observability suite (ctest label obs: span trees,
 #           cross-thread propagation, exporters, SLO burn-rate engine,
-#           tail-sampler retention) under TSan — the tracer's ring
+#           tail-sampler retention) and the serving suite (test_serve: the
+#           metrics registry's atomic counters are written by pool workers
+#           while snapshots read them) under TSan — the tracer's ring
 #           buffers, context propagation, and the tail sampler's
 #           retain/evict/export path are concurrency code — with extra
 #           repeats of the concurrent retain/evict/export stress, then
@@ -80,7 +83,7 @@ if [[ "${1:-}" == "--tsan" ]]; then
     # PLM/PLP intentionally race on community labels (benign by design,
     # same as NetworKit); TSan still reports them, so races are surfaced
     # as a report count rather than a hard failure, while centrality, the
-    # dynamic kernels, and the serving layer — which must be race-free —
+    # dynamic suite, and the serving layer — which must be race-free —
     # fail on any report.
     ./build-tsan/tests/test_centrality
     ./build-tsan/tests/test_dyn
@@ -115,14 +118,15 @@ if [[ "${1:-}" == "--serve-stress" ]]; then
 fi
 
 if [[ "${1:-}" == "--obs" ]]; then
-    echo "== obs suite under TSan =="
+    echo "== obs + serve suites under TSan =="
     TSAN_FLAGS="-fsanitize=thread -g -O1"
     cmake -B build-tsan -S . \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DCMAKE_CXX_FLAGS="$TSAN_FLAGS" \
         -DCMAKE_EXE_LINKER_FLAGS="$TSAN_FLAGS" >/dev/null
-    cmake --build build-tsan -j --target test_obs
+    cmake --build build-tsan -j --target test_obs test_serve
     (cd build-tsan && ctest -L obs --output-on-failure)
+    ./build-tsan/tests/test_serve
 
     # The tail sampler's retain/evict/export path is hit from worker,
     # autoscaler, and scraper threads at once in production; repeat the

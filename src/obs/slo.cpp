@@ -48,10 +48,10 @@ std::vector<BurnWindowSpec> SloConfig::defaultWindows() {
 
 namespace {
 
-/// Good/bad verdict of @p sample under one objective; returns false via
-/// @p relevant when the sample does not count toward this objective at
+/// Good/bad verdict of @p s under one objective; returns false via
+/// @p relevant when the request does not count toward this objective at
 /// all (e.g. a rejected request has no latency).
-bool isBad(const SloObjectiveSpec& spec, const SloSample& s, bool& relevant) {
+bool isBad(const SloObjectiveSpec& spec, const FinishedRequest& s, bool& relevant) {
     relevant = true;
     switch (spec.kind) {
     case SloKind::DeadlineAttainment:
@@ -59,7 +59,7 @@ bool isBad(const SloObjectiveSpec& spec, const SloSample& s, bool& relevant) {
             relevant = false;
             return false;
         }
-        return s.latencyMs > s.deadlineMs;
+        return s.deadlineMissed();
     case SloKind::ShedRate:
         return s.rejected;
     case SloKind::StalenessBudget:
@@ -132,12 +132,12 @@ SloEngine::Bucket SloEngine::sumLocked(const ObjectiveWindow& w, double nowSec,
     return total;
 }
 
-void SloEngine::record(double nowSec, const SloSample& sample) {
+void SloEngine::record(double nowSec, const FinishedRequest& request) {
     const long long bucket = bucketOf(nowSec);
     std::lock_guard<std::mutex> lock(mutex_);
     for (auto& w : objectives_) {
         bool relevant = true;
-        const bool bad = isBad(w.spec, sample, relevant);
+        const bool bad = isBad(w.spec, request, relevant);
         if (!relevant) continue;
         advanceLocked(w, bucket);
         Bucket& slot = w.ring[w.headBucket % w.ring.size()];
@@ -148,8 +148,8 @@ void SloEngine::record(double nowSec, const SloSample& sample) {
     }
 }
 
-void SloEngine::record(const SloSample& sample) {
-    record(Tracer::global().nowUs() / 1e6, sample);
+void SloEngine::record(const FinishedRequest& request) {
+    record(Tracer::global().nowUs() / 1e6, request);
 }
 
 std::vector<SloObjectiveStatus> SloEngine::evaluate(double nowSec) {

@@ -73,15 +73,19 @@ struct SloConfig {
     static std::vector<BurnWindowSpec> defaultWindows();
 };
 
-/// One finished request, as the serving layer saw it. The engine derives
-/// each objective's good/bad verdict from this one struct so callers feed
-/// a single sample per request.
-struct SloSample {
+/// One finished request, as the serving layer saw it. It is the single
+/// input of both sinks that judge a request: SloEngine::record derives
+/// each objective's good/bad verdict from it, and TailSampler::finish its
+/// retention verdict.
+struct FinishedRequest {
     bool rejected = false;       ///< admission control refused it
     double latencyMs = 0.0;      ///< queue wait + full update (accepted only)
     double deadlineMs = 0.0;     ///< 0 = no deadline (latency objective skips)
+    bool degraded = false;       ///< served from a degraded ladder rung
     bool servedStale = false;    ///< DegradeLevel::Stale answer
     double eps = 0.0;            ///< approximation error served (0 = exact)
+
+    bool deadlineMissed() const { return deadlineMs > 0.0 && latencyMs > deadlineMs; }
 };
 
 /// Burn state of one window pair at the last evaluate().
@@ -127,9 +131,9 @@ public:
     explicit SloEngine(SloConfig config = {});
 
     /// Files one request verdict at @p nowSec.
-    void record(double nowSec, const SloSample& sample);
+    void record(double nowSec, const FinishedRequest& request);
     /// record() at the tracer clock (real-time serving path).
-    void record(const SloSample& sample);
+    void record(const FinishedRequest& request);
 
     /// Advances every window to @p nowSec, recomputes burn rates, updates
     /// alert states (logging transitions to EventLog::global()), and

@@ -76,7 +76,7 @@ bool TailSampler::isOutlierLocked(double durationMs) const {
     return durationMs > window[rank];
 }
 
-RetainReason TailSampler::finish(std::uint64_t traceId, const TailVerdict& verdict) {
+RetainReason TailSampler::finish(std::uint64_t traceId, const FinishedRequest& request) {
     if (traceId == 0) return RetainReason::None;
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.finished;
@@ -92,13 +92,13 @@ RetainReason TailSampler::finish(std::uint64_t traceId, const TailVerdict& verdi
     // statistical outliers, then the uniform baseline. The outlier check
     // runs against the window *before* this duration joins it.
     RetainReason reason = RetainReason::None;
-    if (verdict.deadlineMissed) {
+    if (request.deadlineMissed()) {
         reason = RetainReason::DeadlineMiss;
-    } else if (verdict.rejected) {
+    } else if (request.rejected) {
         reason = RetainReason::Shed;
-    } else if (verdict.degraded) {
+    } else if (request.degraded) {
         reason = RetainReason::Degraded;
-    } else if (isOutlierLocked(verdict.durationMs)) {
+    } else if (isOutlierLocked(request.latencyMs)) {
         reason = RetainReason::Outlier;
     } else if (options_.baselineEvery > 0 &&
                baselineCounter_++ % options_.baselineEvery == 0) {
@@ -108,8 +108,8 @@ RetainReason TailSampler::finish(std::uint64_t traceId, const TailVerdict& verdi
     // Only healthy, accepted requests feed the rolling window: shed
     // requests have no meaningful duration and known-bad ones would drag
     // the p99 up until real outliers stopped registering.
-    if (!verdict.rejected && !verdict.deadlineMissed) {
-        durations_[durationNext_] = verdict.durationMs;
+    if (!request.rejected && !request.deadlineMissed()) {
+        durations_[durationNext_] = request.latencyMs;
         durationNext_ = (durationNext_ + 1) % durations_.size();
         durationCount_ = std::min(durationCount_ + 1, durations_.size());
     }
@@ -132,7 +132,7 @@ RetainReason TailSampler::finish(std::uint64_t traceId, const TailVerdict& verdi
     trace.traceId = traceId;
     trace.reason = reason;
     trace.finishedUs = Tracer::global().nowUs();
-    trace.durationMs = verdict.durationMs;
+    trace.durationMs = request.latencyMs;
     trace.spans = std::move(spans);
     retained_.push_back(std::move(trace));
     retainedIds_.insert(traceId);

@@ -7,6 +7,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "src/obs/slo.hpp"
 #include "src/obs/trace.hpp"
 
 namespace rinkit::obs {
@@ -22,15 +23,6 @@ enum class RetainReason {
 };
 
 const char* retainReasonName(RetainReason reason);
-
-/// What the serving layer knew about a request root at completion — the
-/// inputs to the retention decision.
-struct TailVerdict {
-    double durationMs = 0.0;
-    bool deadlineMissed = false;
-    bool rejected = false;
-    bool degraded = false;
-};
 
 /// One kept trace: the complete span tree plus why it was kept.
 struct RetainedTrace {
@@ -88,9 +80,9 @@ public:
     /// retained tree is just root-only).
     void open(std::uint64_t traceId);
 
-    /// The root finished: rules on retention and returns the reason
-    /// (None = discarded, pending buffer dropped).
-    RetainReason finish(std::uint64_t traceId, const TailVerdict& verdict);
+    /// The root finished as @p request: rules on retention and returns the
+    /// reason (None = discarded, pending buffer dropped).
+    RetainReason finish(std::uint64_t traceId, const FinishedRequest& request);
 
     /// True while @p traceId sits in the retained ring (false once
     /// evicted). The exemplar filter: exemplars must only name ids this

@@ -491,12 +491,14 @@ LoadReport LoadGenerator::simulateCluster(const SimServiceModel& model,
             // Degraded answers map to the Approx tier's nominal eps, which
             // sits inside the default 0.1 staleness budget (good) — the
             // latency objective is what the flash crowd burns.
-            const obs::SloSample verdict{false, latencyMs, o.deadlineMs, false,
-                                         dep.degraded ? 0.05 : 0.0};
+            const obs::FinishedRequest finished{.latencyMs = latencyMs,
+                                                .deadlineMs = o.deadlineMs,
+                                                .degraded = dep.degraded,
+                                                .eps = dep.degraded ? 0.05 : 0.0};
             for (count wtr = 0; wtr < dep.waiters; ++wtr) {
                 hist.record(latencyMs);
                 windowHist.record(latencyMs);
-                slo.record(now, verdict);
+                slo.record(now, finished);
             }
             ses.busy = false;
             auto it = replicas.find(dep.replica);
@@ -536,9 +538,7 @@ LoadReport LoadGenerator::simulateCluster(const SimServiceModel& model,
             if (ses.queue.size() >= model.maxQueuedPerSession) {
                 ++rep.rejected;
                 ++windowShed;
-                obs::SloSample shedVerdict;
-                shedVerdict.rejected = true;
-                slo.record(now, shedVerdict);
+                slo.record(now, obs::FinishedRequest{.rejected = true});
             } else {
                 ses.queue.push_back({event.kind, now, 1});
                 tryDispatch(s, now);

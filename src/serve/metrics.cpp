@@ -7,6 +7,24 @@
 
 namespace rinkit::serve {
 
+namespace {
+
+/// Exported name of each Counter, in enum order.
+constexpr std::array<std::string_view, kNumCounters> kCounterNames = {
+    "submitted",          "completed",          "coalesced",
+    "rejected",           "shed_degraded",      "shed_stale",
+    "deadline_missed",    "sessions_opened",    "frames_shipped",
+    "wire_bytes",         "wire_keyframes",     "wire_delta_frames",
+    "handed_off",         "adopted",            "sessions_adopted",
+    "measure_tier_exact", "measure_tier_dynamic", "measure_tier_approx",
+    "measure_tier_stale", "slo_degraded",       "speculated",
+    "spec_hit",           "spec_miss",          "spec_cancelled",
+    "spec_cpu_ms",        "lod_pairs_shipped",
+};
+static_assert(!kCounterNames.back().empty(), "one name per Counter");
+
+} // namespace
+
 double LatencyHistogram::upperEdgeMs(std::size_t bin) {
     return kFirstUpperMs * std::pow(kGrowth, static_cast<double>(bin));
 }
@@ -99,15 +117,6 @@ void MetricsRegistry::recordLatency(std::string_view phase, double ms, std::uint
     it->second.record(ms, traceId, timestampUs);
 }
 
-void MetricsRegistry::increment(std::string_view counterName, count by) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = counters_.find(counterName);
-    if (it == counters_.end())
-        counters_.emplace(std::string(counterName), by);
-    else
-        it->second += by;
-}
-
 void MetricsRegistry::gaugeQueueDepth(count depth) {
     std::lock_guard<std::mutex> lock(mutex_);
     queueDepth_ = depth;
@@ -126,23 +135,23 @@ void MetricsRegistry::setExemplarFilter(std::function<bool(std::uint64_t)> keep)
 
 void MetricsRegistry::merge(const MetricsRegistry& other) {
     if (&other == this) return;
+    for (std::size_t i = 0; i < kNumCounters; ++i)
+        counters_[i].fetch_add(other.counters_[i].load(std::memory_order_relaxed),
+                               std::memory_order_relaxed);
     // Copy the source under its own lock, then fold in under ours — never
     // both locks at once, so there is no ordering to get wrong when two
     // registries merge concurrently.
     std::map<std::string, LatencyHistogram, std::less<>> histograms;
-    std::map<std::string, count, std::less<>> counters;
     count depth = 0;
     count depthMax = 0;
     {
         std::lock_guard<std::mutex> lock(other.mutex_);
         histograms = other.histograms_;
-        counters = other.counters_;
         depth = other.queueDepth_;
         depthMax = other.queueDepthMax_;
     }
     std::lock_guard<std::mutex> lock(mutex_);
     for (const auto& [name, h] : histograms) histograms_[name].merge(h);
-    for (const auto& [name, v] : counters) counters_[name] += v;
     queueDepth_ += depth;
     queueDepthMax_ += depthMax;
 }
@@ -167,7 +176,9 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
         s.p99Ex = filtered(h.exemplarNear(s.p99Ms));
         snap.histograms.emplace(name, s);
     }
-    snap.counters = {counters_.begin(), counters_.end()};
+    for (std::size_t i = 0; i < kNumCounters; ++i)
+        snap.counters.emplace(kCounterNames[i],
+                              counters_[i].load(std::memory_order_relaxed));
     snap.queueDepth = queueDepth_;
     snap.queueDepthMax = queueDepthMax_;
     snap.replica = replicaLabel_;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -11,6 +12,45 @@
 #include "src/support/types.hpp"
 
 namespace rinkit::serve {
+
+/// The serving layer's monotonic event counters, one slot each in
+/// MetricsRegistry's fixed table. Every snapshot lists all of them, zeros
+/// included, under their exported names ("submitted", "measure_tier_exact",
+/// ...; the table in metrics.cpp). The four MeasureTier* values follow
+/// viz::ResolutionTier's order, so a tier indexes its counter directly.
+/// WireBytes counts shipped bytes in whichever format a session uses; the
+/// keyframe/delta split is counted for binary-wire sessions only.
+enum class Counter : std::uint8_t {
+    Submitted,
+    Completed,
+    Coalesced,
+    Rejected,
+    ShedDegraded,
+    ShedStale,
+    DeadlineMissed,
+    SessionsOpened,
+    FramesShipped,
+    WireBytes,
+    WireKeyframes,
+    WireDeltaFrames,
+    HandedOff, ///< pending slots leaving with a migrated session
+    Adopted,   ///< pending slots arriving with a migrated session
+    SessionsAdopted,
+    MeasureTierExact,
+    MeasureTierDynamic,
+    MeasureTierApprox,
+    MeasureTierStale,
+    SloDegraded,
+    Speculated, ///< == SpecHit + SpecMiss + SpecCancelled once speculation is idle
+    SpecHit,
+    SpecMiss,
+    SpecCancelled,
+    SpecCpuMs,
+    LodPairsShipped,
+};
+
+inline constexpr std::size_t kNumCounters =
+    static_cast<std::size_t>(Counter::LodPairsShipped) + 1;
 
 /// OpenMetrics-style exemplar: one concrete trace that landed in a
 /// histogram bucket, so a percentile line on a dashboard links to an
@@ -115,20 +155,21 @@ struct MetricsSnapshot {
 };
 
 /// Thread-safe metrics sink for the serving layer: per-phase latency
-/// histograms, monotonic event counters, and a queue-depth gauge with
+/// histograms, the fixed Counter table, and a queue-depth gauge with
 /// high-water mark. Phase names follow the widget's update-cycle
 /// decomposition ("queue_ms", "network_update_ms", "layout_ms",
 /// "measure_ms", "scene_build_ms", "serialize_ms", "server_ms",
-/// "total_ms"); counter names are the service's lifecycle events
-/// ("submitted", "completed", "coalesced", "rejected", "shed_degraded",
-/// "deadline_missed").
+/// "total_ms"). Counters are lock-free atomics; histograms and the gauge
+/// share one mutex.
 class MetricsRegistry {
 public:
     void recordLatency(std::string_view phase, double ms);
     /// recordLatency() plus an exemplar (zero @p traceId = no exemplar).
     void recordLatency(std::string_view phase, double ms, std::uint64_t traceId,
                        double timestampUs);
-    void increment(std::string_view counterName, count by = 1);
+    void increment(Counter c, count by = 1) {
+        counters_[static_cast<std::size_t>(c)].fetch_add(by, std::memory_order_relaxed);
+    }
 
     /// Sets the current total queue depth; tracks the maximum seen.
     void gaugeQueueDepth(count depth);
@@ -157,7 +198,7 @@ public:
 private:
     mutable std::mutex mutex_;
     std::map<std::string, LatencyHistogram, std::less<>> histograms_;
-    std::map<std::string, count, std::less<>> counters_;
+    std::array<std::atomic<count>, kNumCounters> counters_{};
     count queueDepth_ = 0;
     count queueDepthMax_ = 0;
     std::string replicaLabel_;

@@ -92,29 +92,6 @@ SessionService::SessionService(Options options) : options_(std::move(options)) {
     if (options_.maxQueuedPerSession == 0)
         options_.maxQueuedPerSession = std::max<count>(2, options_.budget.memoryMb / 2048);
     registry_.setReplicaLabel(options_.replicaLabel);
-    // Pre-seed the lifecycle counters so every snapshot (and its JSON)
-    // carries the full set, zeros included. The wire_* counters track the
-    // shipped payloads: bytes in whichever format the session uses, and
-    // the keyframe/delta split for binary-wire sessions (JSON payloads
-    // count frames and bytes but neither wire_keyframes nor
-    // wire_delta_frames, so delta ratio = wire_delta_frames / frames_shipped
-    // is meaningful per-format). handed_off/adopted account migration:
-    // pending queue slots leaving / arriving with a migrated session.
-    // The speculative pipeline keeps its own closed accounting, invisible
-    // to the request counters and the SLO engine:
-    //   speculated == spec_hit + spec_miss + spec_cancelled
-    // once the pipeline is idle (each enqueued task resolves exactly once).
-    for (const char* name : {"submitted", "completed", "coalesced", "rejected",
-                             "shed_degraded", "shed_stale", "deadline_missed",
-                             "sessions_opened", "frames_shipped", "wire_bytes",
-                             "wire_keyframes", "wire_delta_frames",
-                             "handed_off", "adopted", "sessions_adopted",
-                             "measure_tier_exact", "measure_tier_dynamic",
-                             "measure_tier_approx", "measure_tier_stale",
-                             "slo_degraded", "speculated", "spec_hit",
-                             "spec_miss", "spec_cancelled", "spec_cpu_ms",
-                             "lod_pairs_shipped"})
-        registry_.increment(name, 0);
     // Structural exemplar hygiene: exemplars whose trace the sampler has
     // since evicted are dropped at snapshot time, so an exported exemplar
     // id always resolves to a retained span tree.
@@ -137,24 +114,26 @@ SessionService::~SessionService() {
 
 void SessionService::shutdown() {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (auto& [id, session] : sessions_) {
-        session->specToken.cancel();
-        cancelPendingSpeculationLocked(*session);
-        for (auto& request : session->queue) {
-            // One slot = one "rejected" tick: the coalesced waiters of
-            // this slot were already accounted under "coalesced", so
-            // per-slot counting keeps the invariant
-            // submitted + adopted == completed + coalesced + rejected + handed_off.
-            registry_.increment("rejected");
-            RequestOutcome outcome;
-            outcome.status = RequestStatus::Rejected;
-            resolveAll(request, outcome);
-        }
-        totalQueued_ -= session->queue.size();
-        syncLiveLocked();
-        session->queue.clear();
-    }
+    for (auto& [id, session] : sessions_) closeLocked(*session);
     sessions_.clear();
+}
+
+void SessionService::closeLocked(Session& session) {
+    session.specToken.cancel();
+    cancelPendingSpeculationLocked(session);
+    for (auto& request : session.queue) {
+        // One slot = one "rejected" tick: the coalesced waiters of this
+        // slot were already accounted under "coalesced", so per-slot
+        // counting keeps the invariant
+        // submitted + adopted == completed + coalesced + rejected + handed_off.
+        registry_.increment(Counter::Rejected);
+        RequestOutcome outcome;
+        outcome.status = RequestStatus::Rejected;
+        resolveAll(request, outcome);
+    }
+    totalQueued_ -= session.queue.size();
+    syncLiveLocked();
+    session.queue.clear();
     registry_.gaugeQueueDepth(totalQueued_);
 }
 
@@ -170,7 +149,7 @@ SessionId SessionService::openSession(const md::Trajectory& traj,
     session->id = nextId_++;
     const SessionId id = session->id;
     sessions_.emplace(id, std::move(session));
-    registry_.increment("sessions_opened");
+    registry_.increment(Counter::SessionsOpened);
     return id;
 }
 
@@ -178,19 +157,7 @@ void SessionService::closeSession(SessionId id) {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = sessions_.find(id);
     if (it == sessions_.end()) return;
-    Session& session = *it->second;
-    session.specToken.cancel();
-    cancelPendingSpeculationLocked(session);
-    for (auto& request : session.queue) {
-        registry_.increment("rejected"); // per slot; see shutdown()
-        RequestOutcome outcome;
-        outcome.status = RequestStatus::Rejected;
-        resolveAll(request, outcome);
-    }
-    totalQueued_ -= session.queue.size();
-    syncLiveLocked();
-    session.queue.clear();
-    registry_.gaugeQueueDepth(totalQueued_);
+    closeLocked(*it->second);
     // An in-flight request holds its own shared_ptr and finishes normally;
     // erasing the map entry just prevents re-scheduling.
     sessions_.erase(it);
@@ -206,7 +173,7 @@ std::future<RequestOutcome> SessionService::submit(SessionId id, SliderEvent eve
     if (it == sessions_.end())
         throw std::invalid_argument("SessionService: unknown session id " + std::to_string(id));
     Session& session = *it->second;
-    registry_.increment("submitted");
+    registry_.increment(Counter::Submitted);
     // Real work preempts speculation: fire the token so an in-flight
     // speculative task yields its worker at the next phase boundary. A
     // speculation that already completed stays pending — this very request
@@ -223,7 +190,7 @@ std::future<RequestOutcome> SessionService::submit(SessionId id, SliderEvent eve
             queued.event = event;
             ++queued.absorbed;
             queued.waiters.push_back(std::move(promise));
-            registry_.increment("coalesced");
+            registry_.increment(Counter::Coalesced);
             const double now = tracer.nowUs();
             tracer.recordSpan("serve.coalesce", queued.traceCtx, tracer.nextId(),
                               queued.traceCtx.spanId, now, now,
@@ -232,54 +199,31 @@ std::future<RequestOutcome> SessionService::submit(SessionId id, SliderEvent eve
         }
     }
 
-    // Tail sampling replaces head sampling for request roots: with a
-    // sampler attached every root is forced (recorded + buffered) and the
-    // keep/drop call happens at finish(), when the outcome is known.
-    obs::TailSampler* sampler = options_.tailSampler.get();
-    const bool tail = sampler != nullptr && tracer.enabled();
-
-    // Admission control: beyond the budgeted backlog nothing coalescible
-    // is left, so refuse instead of queueing unboundedly. Rejections get a
-    // root-only trace so overload is visible per request, not only as a
-    // counter — and under tail sampling the shed root is retained.
-    if (session.queue.size() >= options_.maxQueuedPerSession) {
-        registry_.increment("rejected");
-        const obs::SpanContext ctx =
-            tail ? tracer.makeRootContext(obs::Sample::Force) : tracer.makeRootContext();
-        if (tail && ctx.sampled) sampler->open(ctx.traceId);
-        const double now = tracer.nowUs();
-        tracer.recordSpan("serve.request", ctx, ctx.spanId, 0, now, now,
-                          {strAttr("kind", kindName(event.kind)),
-                           strAttr("status", "rejected"),
-                           numAttr("session", static_cast<double>(id))});
-        RequestOutcome outcome;
-        outcome.status = RequestStatus::Rejected;
-        outcome.sloVerdict = SloVerdict::Rejected;
-        if (ctx.sampled) outcome.traceId = ctx.traceId;
-        if (tail && ctx.sampled) {
-            obs::TailVerdict verdict;
-            verdict.rejected = true;
-            outcome.traceRetained =
-                sampler->finish(ctx.traceId, verdict) != obs::RetainReason::None;
-        }
-        if (options_.slo) {
-            obs::SloSample s;
-            s.rejected = true;
-            options_.slo->record(s);
-        }
-        promise.set_value(outcome);
-        return future;
-    }
-
     detail::QueuedRequest request;
     request.event = event;
     request.waiters.push_back(std::move(promise));
     // Mint the request's trace on the submitting (service) thread; the
-    // root span itself is emitted at completion with this start time.
+    // root span itself is emitted by finish() with this start time. Tail
+    // sampling replaces head sampling for request roots: with a sampler
+    // attached every root is forced (recorded + buffered) and the keep/drop
+    // call happens at finish(), when the outcome is known.
+    obs::TailSampler* sampler = options_.tailSampler.get();
     request.traceCtx =
-        tail ? tracer.makeRootContext(obs::Sample::Force) : tracer.makeRootContext();
-    if (tail && request.traceCtx.sampled) sampler->open(request.traceCtx.traceId);
+        tracer.makeRootContext(sampler ? obs::Sample::Force : obs::Sample::Inherit);
+    if (sampler && request.traceCtx.sampled) sampler->open(request.traceCtx.traceId);
     request.submittedUs = tracer.nowUs();
+
+    // Admission control: beyond the budgeted backlog nothing coalescible
+    // is left, so refuse instead of queueing unboundedly. The rejection
+    // finishes like any request — a root-only trace, a tail verdict, an
+    // SLO sample — so overload is visible per request, not only as a
+    // counter.
+    if (session.queue.size() >= options_.maxQueuedPerSession) {
+        RequestOutcome outcome;
+        outcome.status = RequestStatus::Rejected;
+        finish(request, id, 0.0, outcome);
+        return future;
+    }
     {
         obs::ContextScope adopt(request.traceCtx);
         obs::ScopedSpan enqueue("serve.enqueue");
@@ -354,7 +298,7 @@ SessionService::DetachedSession SessionService::extractSession(SessionId id) {
     detached.widget_ = std::move(session->widget);
     detached.appliedLog_ = std::move(session->appliedLog);
     detached.queue_ = std::move(session->queue);
-    for (count i = 0; i < detached.queue_.size(); ++i) registry_.increment("handed_off");
+    registry_.increment(Counter::HandedOff, detached.queue_.size());
     totalQueued_ -= detached.queue_.size();
     syncLiveLocked();
     sessions_.erase(id);
@@ -383,10 +327,10 @@ SessionId SessionService::adoptSession(DetachedSession&& detached) {
     session->widget = std::move(detached.widget_);
     session->appliedLog = std::move(detached.appliedLog_);
     session->queue = std::move(detached.queue_);
-    for (count i = 0; i < session->queue.size(); ++i) registry_.increment("adopted");
+    registry_.increment(Counter::Adopted, session->queue.size());
     totalQueued_ += session->queue.size();
     syncLiveLocked();
-    registry_.increment("sessions_adopted");
+    registry_.increment(Counter::SessionsAdopted);
     registry_.gaugeQueueDepth(totalQueued_);
     const SessionId id = session->id;
     sessions_.emplace(id, session);
@@ -437,7 +381,7 @@ void SessionService::maybeSpeculateLocked(const std::shared_ptr<Session>& sessio
     session->specToken = CancelToken();
     session->specQueued = true;
     ++specTasksQueued_;
-    registry_.increment("speculated");
+    registry_.increment(Counter::Speculated);
     pool_->submitBackground(
         [this, session, token = session->specToken] { runSpeculation(session, token); });
 }
@@ -445,7 +389,7 @@ void SessionService::maybeSpeculateLocked(const std::shared_ptr<Session>& sessio
 void SessionService::cancelPendingSpeculationLocked(Session& session) {
     if (!session.specPending) return;
     session.specPending = false;
-    registry_.increment("spec_cancelled");
+    registry_.increment(Counter::SpecCancelled);
 }
 
 void SessionService::runSpeculation(std::shared_ptr<Session> session, CancelToken token) {
@@ -461,7 +405,7 @@ void SessionService::runSpeculation(std::shared_ptr<Session> session, CancelToke
             token.cancelled()) {
             session->specQueued = false;
             --specTasksQueued_;
-            registry_.increment("spec_cancelled");
+            registry_.increment(Counter::SpecCancelled);
             specIdle_.notify_all();
             return;
         }
@@ -485,7 +429,7 @@ void SessionService::runSpeculation(std::shared_ptr<Session> session, CancelToke
     span.attr("completed", completed);
     span.attr("spec_ms", specMs);
     registry_.recordLatency("speculate_ms", specMs);
-    registry_.increment("spec_cpu_ms", static_cast<count>(specMs));
+    registry_.increment(Counter::SpecCpuMs, static_cast<count>(specMs));
 
     std::lock_guard<std::mutex> lock(mutex_);
     session->specQueued = false;
@@ -499,7 +443,7 @@ void SessionService::runSpeculation(std::shared_ptr<Session> session, CancelToke
         session->specPending = true;
     } else {
         if (completed) session->widget->dropSpeculation();
-        registry_.increment("spec_cancelled");
+        registry_.increment(Counter::SpecCancelled);
     }
     pumpLocked(session);
     specIdle_.notify_all();
@@ -509,6 +453,87 @@ void SessionService::runSpeculation(std::shared_ptr<Session> session, CancelToke
 void SessionService::resolveAll(detail::QueuedRequest& request, const RequestOutcome& outcome) {
     for (auto& waiter : request.waiters) waiter.set_value(outcome);
     request.waiters.clear();
+}
+
+void SessionService::finish(detail::QueuedRequest& request, SessionId session,
+                            double deadlineMs, RequestOutcome outcome) {
+    obs::Tracer& tracer = obs::Tracer::global();
+    const obs::SpanContext& ctx = request.traceCtx;
+    const viz::RinWidget::UpdateTiming& timing = outcome.timing;
+    const bool rejected = !outcome.accepted();
+    // The latency the user saw: queue wait plus the full update cycle.
+    // This (not just queue wait) is what the deadline-attainment SLO and
+    // the tail sampler's verdict judge.
+    const obs::FinishedRequest finished{
+        .rejected = rejected,
+        .latencyMs = outcome.queueMs + timing.totalMs(),
+        .deadlineMs = deadlineMs,
+        .degraded = outcome.degraded(),
+        .servedStale = timing.measureTier == viz::ResolutionTier::Stale,
+        .eps = timing.measureEps};
+    outcome.sloVerdict = rejected                    ? SloVerdict::Rejected
+                         : finished.deadlineMissed() ? SloVerdict::DeadlineMissed
+                                                     : SloVerdict::Ok;
+
+    if (ctx.sampled) {
+        std::vector<obs::SpanAttr> attrs = {
+            strAttr("kind", kindName(request.event.kind)),
+            numAttr("session", static_cast<double>(session))};
+        if (rejected) {
+            attrs.push_back(strAttr("status", "rejected"));
+        } else {
+            attrs.push_back(numAttr("coalesced", static_cast<double>(request.absorbed)));
+            attrs.push_back(numAttr("queue_ms", outcome.queueMs));
+            attrs.push_back(numAttr("degraded", outcome.degraded() ? 1.0 : 0.0));
+            attrs.push_back(
+                numAttr("deadline_missed", outcome.deadlineMissed ? 1.0 : 0.0));
+        }
+        tracer.recordSpan("serve.request", ctx, ctx.spanId, 0, request.submittedUs,
+                          tracer.nowUs(), std::move(attrs));
+        outcome.traceId = ctx.traceId;
+    }
+
+    // Retention verdict after the root span landed (so the retained tree
+    // is complete), before exemplar stamping (so the stamped id is already
+    // known-retained).
+    obs::TailSampler* sampler = options_.tailSampler.get();
+    if (sampler != nullptr && ctx.sampled)
+        outcome.traceRetained =
+            sampler->finish(ctx.traceId, finished) != obs::RetainReason::None;
+    if (options_.slo) options_.slo->record(finished);
+
+    if (rejected) {
+        registry_.increment(Counter::Rejected);
+    } else {
+        const std::uint64_t exemplarId = outcome.traceRetained ? ctx.traceId : 0;
+        const double exemplarUs = tracer.nowUs();
+        const auto latency = [&](std::string_view phase, double ms) {
+            registry_.recordLatency(phase, ms, exemplarId, exemplarUs);
+        };
+        latency("queue_ms", outcome.queueMs);
+        latency("network_update_ms", timing.networkUpdateMs);
+        latency("layout_ms", timing.layoutMs);
+        latency("measure_ms", timing.measureMs);
+        latency("scene_build_ms", timing.sceneBuildMs);
+        latency("serialize_ms", timing.serializeMs);
+        latency("server_ms", timing.serverMs());
+        latency("total_ms", finished.latencyMs);
+        registry_.increment(Counter::Completed);
+        registry_.increment(
+            static_cast<Counter>(static_cast<int>(Counter::MeasureTierExact) +
+                                 static_cast<int>(timing.measureTier)));
+        registry_.increment(Counter::FramesShipped);
+        registry_.increment(Counter::WireBytes, timing.wireBytes);
+        if (timing.binaryWire)
+            registry_.increment(timing.wireKeyframe ? Counter::WireKeyframes
+                                                    : Counter::WireDeltaFrames);
+        if (timing.lodCoarse) registry_.increment(Counter::LodPairsShipped);
+        // A graph-moving request judges the pending speculation: exactly one
+        // of spec_hit/spec_miss per speculation that survived to judgement.
+        if (timing.specJudged)
+            registry_.increment(timing.specHit ? Counter::SpecHit : Counter::SpecMiss);
+    }
+    resolveAll(request, outcome);
 }
 
 void SessionService::runNext(std::shared_ptr<Session> session) {
@@ -547,23 +572,23 @@ void SessionService::runNext(std::shared_ptr<Session> session) {
     bool deadlineMissed = false;
     if (depthBehind > options_.staleQueueDepth) {
         level = viz::DegradeLevel::Stale;
-        registry_.increment("shed_degraded");
-        registry_.increment("shed_stale");
+        registry_.increment(Counter::ShedDegraded);
+        registry_.increment(Counter::ShedStale);
     } else if (depthBehind > options_.degradeQueueDepth) {
         level = viz::DegradeLevel::Approx;
-        registry_.increment("shed_degraded");
+        registry_.increment(Counter::ShedDegraded);
     }
     if (deadlineMs > 0.0 && queueMs > deadlineMs) {
         deadlineMissed = true;
         if (level == viz::DegradeLevel::None) level = viz::DegradeLevel::Approx;
-        registry_.increment("deadline_missed");
+        registry_.increment(Counter::DeadlineMissed);
         // Deadline misses are exactly the requests worth a trace: override
         // a lost head-sampling draw before any execution span opens. The
         // submit-side enqueue span was not recorded, but queue wait,
         // execution, and the root are all still ahead. Under tail sampling
         // the root was already forced at submit, so this flip is a no-op —
         // the force happens exactly once per root, never twice.
-        if (options_.sampleOnDeadlineMiss && !request.traceCtx.sampled && tracer.enabled())
+        if (!request.traceCtx.sampled && tracer.enabled())
             request.traceCtx.sampled = true;
     }
 
@@ -575,7 +600,7 @@ void SessionService::runNext(std::shared_ptr<Session> session) {
         static_cast<viz::DegradeLevel>(minDegradeRank_.load(std::memory_order_relaxed));
     if (static_cast<int>(floorLevel) > static_cast<int>(level)) {
         level = floorLevel;
-        registry_.increment("slo_degraded");
+        registry_.increment(Counter::SloDegraded);
     }
 
     // Edge-detect the service-wide served level so the ops log shows one
@@ -605,7 +630,12 @@ void SessionService::runNext(std::shared_ptr<Session> session) {
     const bool degraded = level != viz::DegradeLevel::None;
     viz::RinWidget& widget = *session->widget;
     widget.setDegradeLevel(level);
-    viz::RinWidget::UpdateTiming timing;
+    RequestOutcome outcome;
+    outcome.status = degraded ? RequestStatus::OkDegraded : RequestStatus::Ok;
+    outcome.queueMs = queueMs;
+    outcome.coalescedEvents = request.absorbed;
+    outcome.deadlineMissed = deadlineMissed;
+    viz::RinWidget::UpdateTiming& timing = outcome.timing;
     {
         obs::ContextScope adopt(request.traceCtx);
         obs::ScopedSpan exec("serve.execute");
@@ -627,83 +657,9 @@ void SessionService::runNext(std::shared_ptr<Session> session) {
             timing = widget.refresh();
             break;
         }
-        exec.attr("measure_cache_hit", timing.measureCacheHit);
-        exec.attr("measure_tier", viz::tierName(timing.measureTier));
-        if (timing.measureEps > 0.0) exec.attr("measure_eps", timing.measureEps);
     }
 
-    // The latency the user saw: queue wait plus the full update cycle.
-    // This (not just queue wait) is what the deadline-attainment SLO and
-    // the tail sampler's verdict judge.
-    const double latencyMs = queueMs + timing.totalMs();
-    const bool sloMissed = deadlineMs > 0.0 && latencyMs > deadlineMs;
-
-    if (request.traceCtx.sampled) {
-        tracer.recordSpan(
-            "serve.request", request.traceCtx, request.traceCtx.spanId, 0,
-            request.submittedUs, tracer.nowUs(),
-            {strAttr("kind", kindName(request.event.kind)),
-             numAttr("session", static_cast<double>(session->id)),
-             numAttr("coalesced", static_cast<double>(request.absorbed)),
-             numAttr("queue_ms", queueMs), numAttr("degraded", degraded ? 1.0 : 0.0),
-             numAttr("deadline_missed", deadlineMissed ? 1.0 : 0.0)});
-    }
-
-    // Retention verdict after the root span landed (so the retained tree
-    // is complete), before exemplar stamping (so the stamped id is already
-    // known-retained).
-    bool retained = false;
-    obs::TailSampler* sampler = options_.tailSampler.get();
-    if (sampler != nullptr && request.traceCtx.sampled) {
-        obs::TailVerdict verdict;
-        verdict.durationMs = latencyMs;
-        verdict.deadlineMissed = deadlineMissed || sloMissed;
-        verdict.degraded = degraded;
-        retained = sampler->finish(request.traceCtx.traceId, verdict) !=
-                   obs::RetainReason::None;
-    }
-
-    if (options_.slo) {
-        obs::SloSample s;
-        s.latencyMs = latencyMs;
-        s.deadlineMs = deadlineMs;
-        s.servedStale = timing.measureTier == viz::ResolutionTier::Stale;
-        s.eps = timing.measureEps;
-        options_.slo->record(s);
-    }
-
-    const std::uint64_t exemplarId = retained ? request.traceCtx.traceId : 0;
-    const double exemplarUs = tracer.nowUs();
-    registry_.recordLatency("queue_ms", queueMs, exemplarId, exemplarUs);
-    registry_.recordLatency("network_update_ms", timing.networkUpdateMs, exemplarId, exemplarUs);
-    registry_.recordLatency("layout_ms", timing.layoutMs, exemplarId, exemplarUs);
-    registry_.recordLatency("measure_ms", timing.measureMs, exemplarId, exemplarUs);
-    registry_.recordLatency("scene_build_ms", timing.sceneBuildMs, exemplarId, exemplarUs);
-    registry_.recordLatency("serialize_ms", timing.serializeMs, exemplarId, exemplarUs);
-    registry_.recordLatency("server_ms", timing.serverMs(), exemplarId, exemplarUs);
-    registry_.recordLatency("total_ms", latencyMs, exemplarId, exemplarUs);
-    registry_.increment("completed");
-    registry_.increment(std::string("measure_tier_") + viz::tierName(timing.measureTier));
-    registry_.increment("frames_shipped");
-    registry_.increment("wire_bytes", timing.wireBytes);
-    if (timing.binaryWire)
-        registry_.increment(timing.wireKeyframe ? "wire_keyframes" : "wire_delta_frames");
-    if (timing.lodCoarse) registry_.increment("lod_pairs_shipped");
-    // A graph-moving request judges the pending speculation: exactly one
-    // of spec_hit/spec_miss per speculation that survived to judgement.
-    if (timing.specJudged) registry_.increment(timing.specHit ? "spec_hit" : "spec_miss");
-
-    RequestOutcome outcome;
-    outcome.status = degraded ? RequestStatus::OkDegraded : RequestStatus::Ok;
-    outcome.timing = timing;
-    outcome.queueMs = queueMs;
-    outcome.coalescedEvents = request.absorbed;
-    outcome.deadlineMissed = deadlineMissed;
-    if (request.traceCtx.sampled) outcome.traceId = request.traceCtx.traceId;
-    outcome.traceRetained = retained;
-    outcome.sloVerdict = (deadlineMissed || sloMissed) ? SloVerdict::DeadlineMissed
-                                                       : SloVerdict::Ok;
-    resolveAll(request, outcome);
+    finish(request, session->id, deadlineMs, outcome);
 
     std::lock_guard<std::mutex> lock(mutex_);
     session->busy = false;

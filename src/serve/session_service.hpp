@@ -68,12 +68,11 @@ struct SessionServiceOptions {
     /// (DegradeLevel::Stale). Bounded-error-but-current degrades before
     /// exact-but-outdated.
     count staleQueueDepth = 6;
-    /// Deadline applied when an event carries none. 0 = no deadline.
+    /// Deadline applied when an event carries none. 0 = no deadline. A
+    /// request whose queue wait blows its deadline is traced even when it
+    /// lost the head-sampling draw, so the requests most worth debugging
+    /// always leave a span tree.
     double defaultDeadlineMs = 0.0;
-    /// Head sampling escape hatch: a request whose queue wait blew its
-    /// deadline is traced even when it lost the head-sampling draw, so the
-    /// requests most worth debugging always leave a span tree.
-    bool sampleOnDeadlineMiss = true;
     /// Replica identity stamped on every metrics snapshot and span this
     /// instance emits ("0", "1", ... in a ReplicaSet). Empty for a
     /// standalone single-instance service.
@@ -262,6 +261,11 @@ private:
     /// closing / migrating / shutting down). Caller must hold mutex_.
     void cancelPendingSpeculationLocked(Session& session);
 
+    /// Stops @p session's speculation and rejects every queued slot
+    /// (closeSession / shutdown). Caller must hold mutex_ and then drop
+    /// the session from sessions_.
+    void closeLocked(Session& session);
+
     /// Worker-side: pops and executes the session's next request.
     void runNext(std::shared_ptr<Session> session);
 
@@ -269,6 +273,14 @@ private:
     void runSpeculation(std::shared_ptr<Session> session, CancelToken token);
 
     static void resolveAll(detail::QueuedRequest& request, const RequestOutcome& outcome);
+
+    /// The one place a finished request is recorded, admission-rejected or
+    /// executed: writes the serve.request root span, takes the tail
+    /// sampler's verdict, files the SLO sample, records the metrics, and
+    /// resolves every waiter with @p outcome (completed with its trace id,
+    /// retention and SLO verdict).
+    void finish(detail::QueuedRequest& request, SessionId session, double deadlineMs,
+                RequestOutcome outcome);
 
     Options options_;
     std::unique_ptr<ThreadPool> pool_;

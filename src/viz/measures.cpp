@@ -76,6 +76,13 @@ const char* tierName(ResolutionTier t) {
 
 namespace {
 
+/// The warm sample update gives way to a fresh prime when the accumulated
+/// diff exceeds this fraction of the graph's edges.
+constexpr double kFallbackDiffFraction = 0.15;
+/// Failure probability delta paired with every sampled result, whether
+/// the caller stated the tolerance or the serving layer degraded the read.
+constexpr double kSampleDelta = 0.1;
+
 /// Drives any kernel — centrality or detector — through the canonical
 /// run(const CsrView&) entry and reads the common per-node result shape.
 template <typename Kernel>
@@ -130,7 +137,7 @@ bool MeasureEngine::sampleUpdateEligible(const Graph& g) const {
     const double diff =
         static_cast<double>(chain_.pendAdd.size() + chain_.pendRem.size());
     const double edges = static_cast<double>(std::max<count>(g.numberOfEdges(), 1));
-    if (diff > opts_.fallbackDiffFraction * edges) return false;
+    if (diff > kFallbackDiffFraction * edges) return false;
     // Span-fed cost model: once the EWMA of warm updates exceeds the EWMA
     // of primes, later reads re-prime (cold init) instead of updating. A
     // prime feeds only ewmaExact and never resets ewmaDyn, so the gate
@@ -196,7 +203,6 @@ const std::vector<double>& MeasureEngine::scores(const Graph& g, Measure m,
     const double effTol = req.degrade == DegradeLevel::None
                               ? req.tolerance
                               : std::max(req.tolerance, opts_.degradeEpsilon);
-    const double delta = req.tolerance > 0.0 ? opts_.approxDelta : opts_.degradeDelta;
 
     const size_t mi = static_cast<size_t>(m);
     Slot& ex = exact_[mi];
@@ -266,7 +272,7 @@ const std::vector<double>& MeasureEngine::scores(const Graph& g, Measure m,
             } else if (opts_.dynamicMeasures && n >= 2 && n <= opts_.dynStateMaxNodes) {
                 // Cold sampling doubles as the prime of the sample state.
                 const auto ta = std::chrono::steady_clock::now();
-                dynKad_.init(v, effTol, delta, opts_.seed);
+                dynKad_.init(v, effTol, kSampleDelta, opts_.seed);
                 feedEwma(chain_.ewmaExact, elapsedMs(ta));
                 chain_.dropPending();
                 chain_.n = n;
@@ -274,7 +280,7 @@ const std::vector<double>& MeasureEngine::scores(const Graph& g, Measure m,
                 ap.eps = dynKad_.achievedEpsilon();
                 ap.samples = dynKad_.numberOfSamples();
             } else {
-                KadabraBetweenness kb(g, effTol, delta, opts_.seed);
+                KadabraBetweenness kb(g, effTol, kSampleDelta, opts_.seed);
                 kb.run(v);
                 ap.scores = kb.scores();
                 ap.eps = kb.achievedEpsilon();
@@ -284,7 +290,7 @@ const std::vector<double>& MeasureEngine::scores(const Graph& g, Measure m,
         } else if (m == Measure::Closeness || m == Measure::HarmonicCloseness) {
             // Route to pivots only when they beat the 64-wide exact
             // MS-BFS; otherwise exact is both cheaper and better.
-            const count pivots = ApproxCloseness::pivotsFor(n, effTol, delta);
+            const count pivots = ApproxCloseness::pivotsFor(n, effTol, kSampleDelta);
             if (pivots * 32 < n) {
                 obs::ScopedSpan apx("engine.approx");
                 apx.attr("measure", measureName(m));
@@ -292,7 +298,7 @@ const std::vector<double>& MeasureEngine::scores(const Graph& g, Measure m,
                                    m == Measure::HarmonicCloseness
                                        ? ApproxCloseness::Variant::Harmonic
                                        : ApproxCloseness::Variant::Standard,
-                                   effTol, delta, opts_.seed);
+                                   effTol, kSampleDelta, opts_.seed);
                 ac.run(v);
                 ap.scores = ac.scores();
                 ap.eps = ac.achievedEpsilon();
@@ -301,7 +307,7 @@ const std::vector<double>& MeasureEngine::scores(const Graph& g, Measure m,
             }
         }
         if (ran) {
-            ap.delta = delta;
+            ap.delta = kSampleDelta;
             ap.version = ver;
             ap.g = &g;
             ap.valid = true;
@@ -319,16 +325,6 @@ const std::vector<double>& MeasureEngine::scores(const Graph& g, Measure m,
     out.tier = ResolutionTier::Exact;
     out.cacheHit = false;
     return finish(ex.scores);
-}
-
-const std::vector<double>& MeasureEngine::scores(const Graph& g, Measure m,
-                                                 bool* cacheHit, bool degraded) {
-    Request req;
-    req.degrade = degraded ? DegradeLevel::Stale : DegradeLevel::None;
-    ResultInfo resultInfo;
-    const auto& s = scores(g, m, req, &resultInfo);
-    if (cacheHit) *cacheHit = resultInfo.cacheHit;
-    return s;
 }
 
 void MeasureEngine::reset() {

@@ -109,15 +109,9 @@ public:
         /// The sample state's level matrix is O(n^2); above this node count
         /// it is never primed.
         count dynStateMaxNodes = 1536;
-        /// Resample from scratch when the accumulated diff exceeds this
-        /// fraction of the graph's edges.
-        double fallbackDiffFraction = 0.15;
-        /// (epsilon, delta) used when the serving layer degrades a request
-        /// that did not state its own tolerance.
+        /// epsilon used when the serving layer degrades a request that did
+        /// not state its own tolerance.
         double degradeEpsilon = 0.1;
-        double degradeDelta = 0.1;
-        /// delta paired with caller-stated tolerances.
-        double approxDelta = 0.1;
         std::uint64_t seed = 1;
     };
 
@@ -147,12 +141,6 @@ public:
     /// the resolution tier and achieved bounds.
     const std::vector<double>& scores(const Graph& g, Measure m, const Request& req,
                                       ResultInfo* info = nullptr);
-
-    /// Legacy entry: exact read, or (degraded) the stale-first ladder the
-    /// serving layer used before DegradeLevel existed.
-    const std::vector<double>& scores(const Graph& g, Measure m,
-                                      bool* cacheHit = nullptr,
-                                      bool degraded = false);
 
     /// Installs an externally computed *exact* result for @p m at @p g's
     /// current version into the exact cache slot — the speculative

@@ -16,6 +16,11 @@ namespace rinkit::viz {
 
 namespace {
 
+/// LOD is skipped below this node count; larger scenes coarsen to
+/// numberOfNodes() / kLodFactor clusters.
+constexpr count kLodMinNodes = 256;
+constexpr count kLodFactor = 4;
+
 MeasureEngine::Options engineOptions(const RinWidgetOptions& o) {
     MeasureEngine::Options e;
     e.dynamicMeasures = o.dynamicMeasures;
@@ -106,11 +111,7 @@ void RinWidget::recomputeMeasure(UpdateTiming& t) {
     t.measureSamples = resultInfo.samples;
     t.measureDiffEdges = resultInfo.diffEdges;
     span.attr("measure", measureName(*measure_));
-    span.attr("cache_hit", t.measureCacheHit);
     span.attr("degraded", degraded());
-    span.attr("tier", tierName(resultInfo.tier));
-    if (resultInfo.epsilon > 0.0) span.attr("eps", resultInfo.epsilon);
-    if (resultInfo.samples > 0) span.attr("samples", resultInfo.samples);
     t.measureMs = span.finishMs();
 }
 
@@ -259,10 +260,9 @@ bool RinWidget::adoptSpeculation(UpdateTiming& t, Prediction::Kind kind, index f
 
 const LodMapping* RinWidget::lodMappingFor() {
     const Graph& g = rin_.graph();
-    if (g.numberOfNodes() < options_.lodMinNodes) return nullptr;
+    if (g.numberOfNodes() < kLodMinNodes) return nullptr;
     if (!lodValid_ || lodVersion_ != g.version()) {
-        const count divisor = std::max<count>(2, options_.lodFactor);
-        lodMapping_ = buildLodMapping(g, std::max<count>(2, g.numberOfNodes() / divisor));
+        lodMapping_ = buildLodMapping(g, g.numberOfNodes() / kLodFactor);
         lodVersion_ = g.version();
         lodValid_ = true;
     }
@@ -423,58 +423,38 @@ void RinWidget::renderAndShip(UpdateTiming& t, bool fullClientUpdate, bool marke
 RinWidget::UpdateTiming RinWidget::setFrame(index frame) {
     obs::ScopedSpan span("widget.set_frame");
     span.attr("frame", static_cast<double>(frame));
-    UpdateTiming t;
-    edgeTracesValid_ = false; // node positions move
-    const std::uint64_t preVersion = rin_.graph().version();
-    {
-        obs::ScopedSpan net("widget.network_update");
-        t.edgeStats = rin_.setFrame(frame);
-        net.attr("edges_added", t.edgeStats.edgesAdded);
-        net.attr("edges_removed", t.edgeStats.edgesRemoved);
-        net.attr("edges_total", t.edgeStats.edgesTotal);
-        t.networkUpdateMs = net.finishMs();
-    }
-    // Hand the exact edge diff to the measure engine so the dynamic
-    // kernels can repair their state instead of recomputing.
-    engine_.noteDiff(rin_.graph(), preVersion, rin_.lastAdded(), rin_.lastRemoved());
-    predictor_.observeFrame(frame);
-
-    if (adoptSpeculation(t, Prediction::Kind::Frame, frame, 0.0, preVersion)) {
-        obs::ScopedSpan layoutSpan("widget.layout");
-        layoutSpan.attr("speculated", true);
-        t.layoutMs = layoutSpan.finishMs();
-    } else {
-        recomputeLayout(t);
-    }
-    if (options_.autoRecompute) recomputeMeasure(t);
-    // Node positions changed: the client rebuilds every DOM element (JSON
-    // mode); the wire encoder ships the exact edge diff + moved positions.
-    renderAndShip(t, /*fullClientUpdate=*/true, /*markersOnly=*/false,
-                  EdgeDelta::Diffed);
-    span.attr("degraded", degraded());
-    span.attr("spec_judged", t.specJudged);
-    span.attr("spec_hit", t.specHit);
-    return t;
+    return moveGraph(span, Prediction::Kind::Frame, frame, 0.0);
 }
 
 RinWidget::UpdateTiming RinWidget::setCutoff(double cutoff) {
     obs::ScopedSpan span("widget.set_cutoff");
     span.attr("cutoff", cutoff);
+    return moveGraph(span, Prediction::Kind::Cutoff, 0, cutoff);
+}
+
+RinWidget::UpdateTiming RinWidget::moveGraph(obs::ScopedSpan& span, Prediction::Kind kind,
+                                             index frame, double cutoff) {
+    const bool isFrame = kind == Prediction::Kind::Frame;
     UpdateTiming t;
-    edgeTracesValid_ = false; // edge set changes
+    edgeTracesValid_ = false; // node positions (frame) or the edge set (cutoff) move
     const std::uint64_t preVersion = rin_.graph().version();
     {
         obs::ScopedSpan net("widget.network_update");
-        t.edgeStats = rin_.setCutoff(cutoff);
+        t.edgeStats = isFrame ? rin_.setFrame(frame) : rin_.setCutoff(cutoff);
         net.attr("edges_added", t.edgeStats.edgesAdded);
         net.attr("edges_removed", t.edgeStats.edgesRemoved);
         net.attr("edges_total", t.edgeStats.edgesTotal);
         t.networkUpdateMs = net.finishMs();
     }
+    // Hand the exact edge diff to the measure engine so the sampled
+    // betweenness state can be repaired instead of redrawn.
     engine_.noteDiff(rin_.graph(), preVersion, rin_.lastAdded(), rin_.lastRemoved());
-    predictor_.observeCutoff(cutoff);
+    if (isFrame)
+        predictor_.observeFrame(frame);
+    else
+        predictor_.observeCutoff(cutoff);
 
-    if (adoptSpeculation(t, Prediction::Kind::Cutoff, 0, cutoff, preVersion)) {
+    if (adoptSpeculation(t, kind, frame, cutoff, preVersion)) {
         obs::ScopedSpan layoutSpan("widget.layout");
         layoutSpan.attr("speculated", true);
         t.layoutMs = layoutSpan.finishMs();
@@ -482,9 +462,11 @@ RinWidget::UpdateTiming RinWidget::setCutoff(double cutoff) {
         recomputeLayout(t);
     }
     if (options_.autoRecompute) recomputeMeasure(t);
-    // Protein-view node positions are unchanged between cutoffs: the
-    // client only updates edge elements (paper: ~100 ms vs ~200 ms).
-    renderAndShip(t, /*fullClientUpdate=*/false, /*markersOnly=*/false,
+    // A frame move shifts node positions, so the client rebuilds every DOM
+    // element (JSON mode); between cutoffs the protein view's positions are
+    // unchanged and the client only updates edge elements (paper: ~100 ms
+    // vs ~200 ms). The wire encoder ships the exact edge diff either way.
+    renderAndShip(t, /*fullClientUpdate=*/isFrame, /*markersOnly=*/false,
                   EdgeDelta::Diffed);
     span.attr("degraded", degraded());
     span.attr("spec_judged", t.specJudged);

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "src/layout/maxent_stress.hpp"
+#include "src/obs/trace.hpp"
 #include "src/rin/dynamic_rin.hpp"
 #include "src/viz/client_model.hpp"
 #include "src/viz/measures.hpp"
@@ -85,13 +86,9 @@ struct RinWidgetOptions {
     /// map, drawn immediately) followed by an ordinary refine delta that
     /// expands it to the full scene. Cuts modeled time-to-first-pixels on
     /// worst-case cutoff jumps at the price of one extra (small) frame.
+    /// Scenes under 256 nodes skip it (the coarse frame would not pay for
+    /// its own overhead); larger ones coarsen to a quarter of their nodes.
     bool lodScenes = false;
-    /// LOD is skipped below this node count (the coarse frame would not
-    /// pay for its own overhead on small scenes).
-    count lodMinNodes = 256;
-    /// Coarse target size divisor: the coarse node set targets
-    /// numberOfNodes() / lodFactor clusters.
-    count lodFactor = 4;
 };
 
 class RinWidget {
@@ -217,11 +214,6 @@ public:
     void setDegradeLevel(DegradeLevel level) { degradeLevel_ = level; }
     DegradeLevel degradeLevel() const { return degradeLevel_; }
 
-    /// Legacy boolean degrade toggle: maps to the ladder's last rung
-    /// (Stale), the pre-ladder behavior.
-    void setDegraded(bool enabled) {
-        degradeLevel_ = enabled ? DegradeLevel::Stale : DegradeLevel::None;
-    }
     bool degraded() const { return degradeLevel_ != DegradeLevel::None; }
 
     // -- state ------------------------------------------------------------
@@ -300,6 +292,13 @@ private:
         bool haveEdgeTraces = false;
     };
 
+    /// The shared body of setFrame/setCutoff, run inside the caller's
+    /// @p span: moves the live graph to @p frame (Kind::Frame) or @p cutoff
+    /// (Kind::Cutoff), hands the edge diff to the measure engine, adopts a
+    /// matching speculation or re-lays out, recomputes the measure, and
+    /// ships the diffed frame.
+    UpdateTiming moveGraph(obs::ScopedSpan& span, Prediction::Kind kind, index frame,
+                           double cutoff);
     void recomputeLayout(UpdateTiming& t);
     void recomputeMeasure(UpdateTiming& t);
     void renderAndShip(UpdateTiming& t, bool fullClientUpdate, bool markersOnly,

@@ -424,7 +424,7 @@ TEST_F(ObsTest, PrometheusExpositionRoundTrips) {
     registry.recordLatency(phase, 12.0);
     registry.recordLatency(phase, 30.0);
     registry.recordLatency("server_ms", 5.0);
-    registry.increment("completed", 3);
+    registry.increment(serve::Counter::Completed, 3);
     registry.gaugeQueueDepth(4);
     const auto snap = registry.snapshot();
 
@@ -491,15 +491,15 @@ obs::SloConfig fastLatencyConfig() {
     return cfg;
 }
 
-obs::SloSample goodSample() {
-    obs::SloSample s;
+obs::FinishedRequest goodSample() {
+    obs::FinishedRequest s;
     s.latencyMs = 10.0;
     s.deadlineMs = 100.0;
     return s;
 }
 
-obs::SloSample badSample() {
-    obs::SloSample s;
+obs::FinishedRequest badSample() {
+    obs::FinishedRequest s;
     s.latencyMs = 250.0;
     s.deadlineMs = 100.0;
     return s;
@@ -566,13 +566,13 @@ TEST(SloEngine, ObjectiveKindsDeriveTheirOwnVerdicts) {
     obs::SloEngine engine(cfg);
 
     double t = 0.0;
-    obs::SloSample rejected;
+    obs::FinishedRequest rejected;
     rejected.rejected = true;
     engine.record(t += 0.01, rejected); // bad for shed only
-    obs::SloSample stale = goodSample();
+    obs::FinishedRequest stale = goodSample();
     stale.servedStale = true;
     engine.record(t += 0.01, stale); // bad for staleness only
-    obs::SloSample overBudget = goodSample();
+    obs::FinishedRequest overBudget = goodSample();
     overBudget.eps = 0.5; // above the 0.1 budget
     engine.record(t += 0.01, overBudget);
     engine.record(t += 0.01, goodSample());
@@ -693,28 +693,28 @@ TEST_F(ObsTest, TailSamplerRetentionPriorityAndReasons) {
 
     // Priority: deadline miss > shed > degraded, regardless of the other
     // flags set alongside.
-    obs::TailVerdict all;
-    all.durationMs = 5.0;
-    all.deadlineMissed = true;
+    obs::FinishedRequest all;
+    all.latencyMs = 5.0;
+    all.deadlineMs = 1.0;
     all.rejected = true;
     all.degraded = true;
     sampler.open(1);
     EXPECT_EQ(sampler.finish(1, all), obs::RetainReason::DeadlineMiss);
 
-    obs::TailVerdict shed;
+    obs::FinishedRequest shed;
     shed.rejected = true;
     shed.degraded = true;
     sampler.open(2);
     EXPECT_EQ(sampler.finish(2, shed), obs::RetainReason::Shed);
 
-    obs::TailVerdict degraded;
-    degraded.durationMs = 5.0;
+    obs::FinishedRequest degraded;
+    degraded.latencyMs = 5.0;
     degraded.degraded = true;
     sampler.open(3);
     EXPECT_EQ(sampler.finish(3, degraded), obs::RetainReason::Degraded);
 
-    obs::TailVerdict healthy;
-    healthy.durationMs = 5.0;
+    obs::FinishedRequest healthy;
+    healthy.latencyMs = 5.0;
     sampler.open(4);
     EXPECT_EQ(sampler.finish(4, healthy), obs::RetainReason::None);
 
@@ -740,8 +740,8 @@ TEST_F(ObsTest, TailSamplerOutlierAndBaseline) {
     std::uint64_t id = 1;
     count outliers = 0;
     count baselines = 0;
-    obs::TailVerdict healthy;
-    healthy.durationMs = 1.0;
+    obs::FinishedRequest healthy;
+    healthy.latencyMs = 1.0;
     for (int i = 0; i < 40; ++i) {
         sampler.open(id);
         const auto reason = sampler.finish(id++, healthy);
@@ -753,8 +753,8 @@ TEST_F(ObsTest, TailSamplerOutlierAndBaseline) {
 
     // A duration far above the rolling p99 is kept as an outlier now that
     // the window has its minimum samples.
-    obs::TailVerdict slow;
-    slow.durationMs = 500.0;
+    obs::FinishedRequest slow;
+    slow.latencyMs = 500.0;
     sampler.open(id);
     EXPECT_EQ(sampler.finish(id++, slow), obs::RetainReason::Outlier);
 }
@@ -770,8 +770,9 @@ TEST_F(ObsTest, TailSamplerBoundsEvictionAndPendingOverflow) {
 
     // Three retained misses through a 2-slot ring: the oldest evicts and
     // its id stops resolving (the exemplar-filter contract).
-    obs::TailVerdict miss;
-    miss.deadlineMissed = true;
+    obs::FinishedRequest miss;
+    miss.latencyMs = 2.0;
+    miss.deadlineMs = 1.0;
     for (std::uint64_t id = 1; id <= 3; ++id) {
         sampler.open(id);
         sampler.finish(id, miss);
@@ -790,7 +791,7 @@ TEST_F(ObsTest, TailSamplerBoundsEvictionAndPendingOverflow) {
     EXPECT_EQ(sampler.stats().pendingOverflow, 1u);
     sampler.finish(12, miss);
     EXPECT_TRUE(sampler.isRetained(12));
-    obs::TailVerdict healthy;
+    obs::FinishedRequest healthy;
     sampler.finish(10, healthy);
     sampler.finish(11, healthy);
 
@@ -823,9 +824,9 @@ TEST_F(ObsTest, TailSamplerBuffersCompleteTreeViaSpanSink) {
         { ScopedSpan child("tail.child"); }
     }
     tracer.recordSpan("tail.root", ctx, ctx.spanId, 0, startUs, tracer.nowUs());
-    obs::TailVerdict miss;
-    miss.durationMs = 1.0;
-    miss.deadlineMissed = true;
+    obs::FinishedRequest miss;
+    miss.latencyMs = 1.0;
+    miss.deadlineMs = 0.5;
     ASSERT_EQ(sampler.finish(ctx.traceId, miss), obs::RetainReason::DeadlineMiss);
 
     const auto kept = sampler.retained();
@@ -864,9 +865,9 @@ TEST_F(ObsTest, TailSamplerConcurrentRetainEvictExport) {
                 obs::ContextScope scope(ctx);
                 sampler.open(ctx.traceId);
                 { ScopedSpan s("tail.work"); }
-                obs::TailVerdict v;
-                v.durationMs = 1.0 + i;
-                v.deadlineMissed = (i + w) % 3 == 0;
+                obs::FinishedRequest v;
+                v.latencyMs = 1.0 + i;
+                v.deadlineMs = (i + w) % 3 == 0 ? 0.5 : 0.0;
                 sampler.finish(ctx.traceId, v);
             }
         });
@@ -981,6 +982,67 @@ TEST_F(ObsTest, TailSamplingForceRetainsEachRootExactlyOnce) {
     }
     EXPECT_GE(sampler->stats().retainedDeadlineMiss, 1u);
     expectAccountingInvariant(service.metrics());
+    sampler->uninstall();
+}
+
+TEST_F(ObsTest, CompletedAndRejectedRequestsReachBothSinks) {
+    Tracer::global().setSampleEvery(0); // every request root is forced
+    const auto traj = slowTrajectory();
+    serve::SessionServiceOptions options;
+    options.workers = 1;
+    options.maxQueuedPerSession = 1;
+    options.slo = std::make_shared<obs::SloEngine>();
+    auto sampler = std::make_shared<obs::TailSampler>();
+    sampler->install();
+    options.tailSampler = sampler;
+    serve::SessionService service(options);
+    const auto session = service.openSession(traj);
+    service.drain();
+
+    // Three kinds, so nothing coalesces: the frame switch runs first, and
+    // while it runs the one-slot queue bounces whatever does not fit —
+    // at least one request completes and at least one is rejected.
+    std::vector<std::future<serve::RequestOutcome>> futures;
+    futures.push_back(service.submit(session, serve::SliderEvent::setFrame(1)));
+    futures.push_back(service.submit(session, serve::SliderEvent::setCutoff(7.5)));
+    futures.push_back(
+        service.submit(session, serve::SliderEvent::setMeasure(viz::Measure::Degree)));
+    count completed = 0;
+    count rejected = 0;
+    for (auto& f : futures) {
+        const auto outcome = f.get();
+        EXPECT_NE(outcome.traceId, 0u);
+        if (outcome.accepted()) {
+            ++completed;
+            EXPECT_EQ(outcome.sloVerdict, serve::SloVerdict::Ok);
+        } else {
+            ++rejected;
+            EXPECT_EQ(outcome.sloVerdict, serve::SloVerdict::Rejected);
+            EXPECT_TRUE(outcome.traceRetained);
+        }
+    }
+    service.drain();
+    ASSERT_GE(completed, 1u);
+    ASSERT_GE(rejected, 1u);
+
+    // Each finished request reached the tail sampler and the SLO engine
+    // exactly once, whichever way it finished.
+    const auto stats = sampler->stats();
+    EXPECT_EQ(stats.finished, completed + rejected);
+    EXPECT_EQ(stats.retainedShed, rejected);
+    EXPECT_EQ(sampler->pendingCount(), 0u);
+    bool sawShed = false;
+    for (const auto& objective : options.slo->evaluate()) {
+        if (objective.kind != obs::SloKind::ShedRate) continue;
+        sawShed = true;
+        EXPECT_EQ(objective.good, completed);
+        EXPECT_EQ(objective.bad, rejected);
+    }
+    EXPECT_TRUE(sawShed);
+    const auto snap = service.metrics();
+    EXPECT_EQ(snap.counter("completed"), completed);
+    EXPECT_EQ(snap.counter("rejected"), rejected);
+    EXPECT_EQ(snap.histograms.at("total_ms").samples, completed);
     sampler->uninstall();
 }
 

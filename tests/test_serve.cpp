@@ -7,6 +7,8 @@
 
 #include <atomic>
 #include <future>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -159,8 +161,8 @@ TEST(MetricsRegistry, SnapshotAndJsonRoundTrip) {
     serve::MetricsRegistry reg;
     reg.recordLatency("server_ms", 12.0);
     reg.recordLatency("server_ms", 30.0);
-    reg.increment("completed");
-    reg.increment("completed", 2);
+    reg.increment(serve::Counter::Completed);
+    reg.increment(serve::Counter::Completed, 2);
     reg.gaugeQueueDepth(5);
     reg.gaugeQueueDepth(2);
 
@@ -179,6 +181,33 @@ TEST(MetricsRegistry, SnapshotAndJsonRoundTrip) {
     EXPECT_EQ(server.at("count").asNumber(), 2.0);
     EXPECT_DOUBLE_EQ(server.at("mean_ms").asNumber(), 21.0);
     EXPECT_LE(server.at("p50_ms").asNumber(), server.at("p99_ms").asNumber());
+}
+
+TEST(SessionService, FreshSnapshotListsEveryCounterAtZero) {
+    // The exported counter set, zeros included, that dashboards and the
+    // benchmark read: every name from the first snapshot on, nothing else.
+    const std::set<std::string> expected = {
+        "submitted",          "completed",          "coalesced",
+        "rejected",           "shed_degraded",      "shed_stale",
+        "deadline_missed",    "sessions_opened",    "frames_shipped",
+        "wire_bytes",         "wire_keyframes",     "wire_delta_frames",
+        "handed_off",         "adopted",            "sessions_adopted",
+        "measure_tier_exact", "measure_tier_dynamic", "measure_tier_approx",
+        "measure_tier_stale", "slo_degraded",       "speculated",
+        "spec_hit",           "spec_miss",          "spec_cancelled",
+        "spec_cpu_ms",        "lod_pairs_shipped"};
+    ASSERT_EQ(expected.size(), 26u);
+    SessionService service;
+    const auto snap = service.metrics();
+    std::set<std::string> names;
+    for (const auto& [name, value] : snap.counters) {
+        names.insert(name);
+        EXPECT_EQ(value, 0u) << name;
+    }
+    EXPECT_EQ(names, expected);
+    const auto parsed = JsonValue::parse(snap.toJson());
+    for (const auto& name : expected)
+        EXPECT_EQ(parsed.at("counters").at(name).asNumber(), 0.0) << name;
 }
 
 TEST(SessionService, AppliesSequentialEventsInOrder) {
