@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "src/support/guide_table.hpp"
 #include "src/support/random.hpp"
 
 namespace rinkit {
@@ -74,23 +75,23 @@ void Node2Vec::train() {
     const count d = params_.dimensions;
     Rng rng(params_.seed + 0x5bd1e995u);
 
-    // Input (emb_) and output (context) matrices, initialized small-random.
-    emb_.assign(n, std::vector<double>(d));
-    std::vector<std::vector<double>> ctx(n, std::vector<double>(d, 0.0));
-    for (auto& row : emb_) {
-        for (auto& x : row) x = (rng.real01() - 0.5) / static_cast<double>(d);
-    }
+    // Input (emb) and output (ctx) matrices as contiguous n x d blocks,
+    // row u at offset u * d; emb is initialized small-random row by row.
+    std::vector<double> emb(n * d);
+    std::vector<double> ctx(n * d, 0.0);
+    for (auto& x : emb) x = (rng.real01() - 0.5) / static_cast<double>(d);
 
-    // Negative-sampling table proportional to degree^0.75.
+    // Negative-sampling distribution proportional to degree^0.75; the guide
+    // table answers exactly what std::lower_bound over the cdf would.
     std::vector<double> cdf(n, 0.0);
     double total = 0.0;
     for (node u = 0; u < n; ++u) {
         total += std::pow(static_cast<double>(g_.degree(u)), 0.75);
         cdf[u] = total;
     }
+    const CdfGuideTable negatives(std::move(cdf));
     auto sampleNegative = [&]() {
-        const double x = rng.real01() * total;
-        return static_cast<node>(std::lower_bound(cdf.begin(), cdf.end(), x) - cdf.begin());
+        return static_cast<node>(negatives.lowerBound(rng.real01() * total));
     };
 
     auto sigmoid = [](double x) { return 1.0 / (1.0 + std::exp(-x)); };
@@ -102,7 +103,7 @@ void Node2Vec::train() {
                                      static_cast<double>(std::max<count>(params_.epochs, 1)));
         for (const auto& walk : walks_) {
             for (count i = 0; i < walk.size(); ++i) {
-                const node center = walk[i];
+                double* const in = emb.data() + walk[i] * d;
                 const count lo = i >= params_.windowSize ? i - params_.windowSize : 0;
                 const count hi = std::min<count>(i + params_.windowSize, walk.size() - 1);
                 for (count j = lo; j <= hi; ++j) {
@@ -114,19 +115,24 @@ void Node2Vec::train() {
                         const bool positive = (s == 0);
                         const node target = positive ? context : sampleNegative();
                         if (!positive && target == context) continue;
+                        double* const out = ctx.data() + target * d;
                         double dot = 0.0;
-                        for (count k = 0; k < d; ++k) dot += emb_[center][k] * ctx[target][k];
+                        for (count k = 0; k < d; ++k) dot += in[k] * out[k];
                         const double g = (positive ? 1.0 : 0.0) - sigmoid(dot);
                         for (count k = 0; k < d; ++k) {
-                            grad[k] += g * ctx[target][k];
-                            ctx[target][k] += lr * g * emb_[center][k];
+                            grad[k] += g * out[k];
+                            out[k] += lr * g * in[k];
                         }
                     }
-                    for (count k = 0; k < d; ++k) emb_[center][k] += lr * grad[k];
+                    for (count k = 0; k < d; ++k) in[k] += lr * grad[k];
                 }
             }
         }
     }
+
+    emb_.resize(n);
+    for (node u = 0; u < n; ++u)
+        emb_[u].assign(emb.data() + u * d, emb.data() + (u + 1) * d);
 }
 
 void Node2Vec::run() {

@@ -122,14 +122,15 @@ void SessionService::closeLocked(Session& session) {
     session.specToken.cancel();
     cancelPendingSpeculationLocked(session);
     for (auto& request : session.queue) {
-        // One slot = one "rejected" tick: the coalesced waiters of this
-        // slot were already accounted under "coalesced", so per-slot
-        // counting keeps the invariant
+        // A slot rejected by the close finishes like an admission
+        // rejection: root span, tail verdict, SLO sample and one
+        // "rejected" tick. The coalesced waiters of this slot were already
+        // accounted under "coalesced", so per-slot counting keeps the
+        // invariant
         // submitted + adopted == completed + coalesced + rejected + handed_off.
-        registry_.increment(Counter::Rejected);
         RequestOutcome outcome;
         outcome.status = RequestStatus::Rejected;
-        resolveAll(request, outcome);
+        finish(request, session.id, 0.0, outcome);
     }
     totalQueued_ -= session.queue.size();
     syncLiveLocked();
@@ -450,11 +451,6 @@ void SessionService::runSpeculation(std::shared_ptr<Session> session, CancelToke
     idle_.notify_all(); // extractSession may be waiting out this task
 }
 
-void SessionService::resolveAll(detail::QueuedRequest& request, const RequestOutcome& outcome) {
-    for (auto& waiter : request.waiters) waiter.set_value(outcome);
-    request.waiters.clear();
-}
-
 void SessionService::finish(detail::QueuedRequest& request, SessionId session,
                             double deadlineMs, RequestOutcome outcome) {
     obs::Tracer& tracer = obs::Tracer::global();
@@ -533,7 +529,8 @@ void SessionService::finish(detail::QueuedRequest& request, SessionId session,
         if (timing.specJudged)
             registry_.increment(timing.specHit ? Counter::SpecHit : Counter::SpecMiss);
     }
-    resolveAll(request, outcome);
+    for (auto& waiter : request.waiters) waiter.set_value(outcome);
+    request.waiters.clear();
 }
 
 void SessionService::runNext(std::shared_ptr<Session> session) {

@@ -261,9 +261,9 @@ private:
     /// closing / migrating / shutting down). Caller must hold mutex_.
     void cancelPendingSpeculationLocked(Session& session);
 
-    /// Stops @p session's speculation and rejects every queued slot
-    /// (closeSession / shutdown). Caller must hold mutex_ and then drop
-    /// the session from sessions_.
+    /// Stops @p session's speculation and finishes every queued slot as
+    /// rejected (closeSession / shutdown). Caller must hold mutex_ and
+    /// then drop the session from sessions_.
     void closeLocked(Session& session);
 
     /// Worker-side: pops and executes the session's next request.
@@ -272,13 +272,11 @@ private:
     /// Background-worker-side: runs one speculation attempt.
     void runSpeculation(std::shared_ptr<Session> session, CancelToken token);
 
-    static void resolveAll(detail::QueuedRequest& request, const RequestOutcome& outcome);
-
-    /// The one place a finished request is recorded, admission-rejected or
-    /// executed: writes the serve.request root span, takes the tail
-    /// sampler's verdict, files the SLO sample, records the metrics, and
-    /// resolves every waiter with @p outcome (completed with its trace id,
-    /// retention and SLO verdict).
+    /// The one place a finished request is recorded, executed or rejected
+    /// (at admission or by a session close): writes the serve.request root
+    /// span, takes the tail sampler's verdict, files the SLO sample,
+    /// records the metrics, and resolves every waiter with @p outcome
+    /// (completed with its trace id, retention and SLO verdict).
     void finish(detail::QueuedRequest& request, SessionId session, double deadlineMs,
                 RequestOutcome outcome);
 

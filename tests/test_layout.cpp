@@ -6,6 +6,7 @@
 
 #include <omp.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -18,6 +19,9 @@
 #include "src/layout/maxent_stress.hpp"
 #include "src/layout/multilevel_maxent_stress.hpp"
 #include "src/layout/octree.hpp"
+#include "src/md/synthetic.hpp"
+#include "src/rin/rin_builder.hpp"
+#include "src/support/guide_table.hpp"
 #include "src/support/random.hpp"
 
 namespace rinkit {
@@ -656,6 +660,218 @@ TEST(Node2Vec, IsolatedNodesGetNoWalksButKeepRows) {
     for (const auto& w : n2v.walks()) {
         for (node u : w) EXPECT_LT(u, 3u); // walks never visit isolated nodes
     }
+}
+
+
+/// The straightforward node2vec: per-walk vectors, row-vector matrices and
+/// a std::lower_bound negative sampler. Node2Vec must reproduce its walks
+/// and embeddings bit for bit: same RNG streams, same draw order, same
+/// floating-point operation order.
+struct ReferenceNode2Vec {
+    std::vector<std::vector<node>> walks;
+    std::vector<std::vector<double>> emb;
+};
+
+ReferenceNode2Vec referenceNode2Vec(const Graph& g, const Node2Vec::Parameters& params) {
+    ReferenceNode2Vec out;
+    const count n = g.numberOfNodes();
+    {
+        Rng rng(params.seed);
+        for (count r = 0; r < params.walksPerNode; ++r) {
+            for (node start = 0; start < n; ++start) {
+                if (g.degree(start) == 0) continue;
+                std::vector<node> walk{start};
+                node prev = none;
+                node cur = start;
+                while (walk.size() < params.walkLength) {
+                    const auto nbrs = g.neighbors(cur);
+                    if (nbrs.empty()) break;
+                    node chosen = none;
+                    if (prev == none) {
+                        chosen = nbrs[rng.pick(nbrs.size())];
+                    } else {
+                        const double wMax =
+                            std::max({1.0, 1.0 / params.p, 1.0 / params.q});
+                        for (int attempt = 0; attempt < 256; ++attempt) {
+                            const node cand = nbrs[rng.pick(nbrs.size())];
+                            const double w = cand == prev          ? 1.0 / params.p
+                                             : g.hasEdge(cand, prev) ? 1.0
+                                                                     : 1.0 / params.q;
+                            if (rng.real01() * wMax <= w) {
+                                chosen = cand;
+                                break;
+                            }
+                        }
+                        if (chosen == none) chosen = nbrs[rng.pick(nbrs.size())];
+                    }
+                    walk.push_back(chosen);
+                    prev = cur;
+                    cur = chosen;
+                }
+                out.walks.push_back(std::move(walk));
+            }
+        }
+    }
+
+    const count d = params.dimensions;
+    Rng rng(params.seed + 0x5bd1e995u);
+    auto& emb = out.emb;
+    emb.assign(n, std::vector<double>(d));
+    std::vector<std::vector<double>> ctx(n, std::vector<double>(d, 0.0));
+    for (auto& row : emb) {
+        for (auto& x : row) x = (rng.real01() - 0.5) / static_cast<double>(d);
+    }
+    std::vector<double> cdf(n, 0.0);
+    double total = 0.0;
+    for (node u = 0; u < n; ++u) {
+        total += std::pow(static_cast<double>(g.degree(u)), 0.75);
+        cdf[u] = total;
+    }
+    auto sampleNegative = [&]() {
+        const double x = rng.real01() * total;
+        return static_cast<node>(std::lower_bound(cdf.begin(), cdf.end(), x) -
+                                 cdf.begin());
+    };
+    auto sigmoid = [](double x) { return 1.0 / (1.0 + std::exp(-x)); };
+    std::vector<double> grad(d);
+    for (count epoch = 0; epoch < params.epochs; ++epoch) {
+        const double lr =
+            params.learningRate *
+            (1.0 - static_cast<double>(epoch) /
+                       static_cast<double>(std::max<count>(params.epochs, 1)));
+        for (const auto& walk : out.walks) {
+            for (count i = 0; i < walk.size(); ++i) {
+                const node center = walk[i];
+                const count lo = i >= params.windowSize ? i - params.windowSize : 0;
+                const count hi = std::min<count>(i + params.windowSize, walk.size() - 1);
+                for (count j = lo; j <= hi; ++j) {
+                    if (j == i) continue;
+                    const node context = walk[j];
+                    std::fill(grad.begin(), grad.end(), 0.0);
+                    for (count s = 0; s <= params.negativeSamples; ++s) {
+                        const bool positive = (s == 0);
+                        const node target = positive ? context : sampleNegative();
+                        if (!positive && target == context) continue;
+                        double dot = 0.0;
+                        for (count k = 0; k < d; ++k)
+                            dot += emb[center][k] * ctx[target][k];
+                        const double gr = (positive ? 1.0 : 0.0) - sigmoid(dot);
+                        for (count k = 0; k < d; ++k) {
+                            grad[k] += gr * ctx[target][k];
+                            ctx[target][k] += lr * gr * emb[center][k];
+                        }
+                    }
+                    for (count k = 0; k < d; ++k) emb[center][k] += lr * grad[k];
+                }
+            }
+        }
+    }
+    return out;
+}
+
+TEST(Node2Vec, MatchesReferenceBitForBit) {
+    // Two 6-cliques joined by one edge, plus three isolated nodes in the
+    // middle of the id range (zero-weight plateaus in the negative cdf).
+    Graph cliques(15);
+    for (node u = 0; u < 6; ++u) {
+        for (node v = u + 1; v < 6; ++v) {
+            cliques.addEdge(u, v);
+            cliques.addEdge(u + 9, v + 9);
+        }
+    }
+    cliques.addEdge(5, 9);
+    const Graph karate = generators::karateClub();
+    const Graph helixRin = rin::RinBuilder(rin::DistanceCriterion::MinimumAtomDistance)
+                               .build(md::helixBundle(300), 4.5);
+    const std::pair<const char*, const Graph*> graphs[] = {
+        {"karate", &karate},
+        {"cliques+isolated", &cliques},
+        {"helixBundle(300)", &helixRin}};
+
+    std::vector<std::pair<const char*, Node2Vec::Parameters>> sets;
+    sets.emplace_back("defaults", Node2Vec::Parameters{});
+    Node2Vec::Parameters pq;
+    pq.p = 0.5;
+    pq.q = 2.0;
+    sets.emplace_back("p=0.5,q=2", pq);
+    Node2Vec::Parameters epochs;
+    epochs.epochs = 3;
+    sets.emplace_back("epochs=3", epochs);
+    Node2Vec::Parameters walks;
+    walks.walksPerNode = 2;
+    sets.emplace_back("walksPerNode=2", walks);
+    Node2Vec::Parameters negatives;
+    negatives.negativeSamples = 5;
+    sets.emplace_back("negativeSamples=5", negatives);
+    Node2Vec::Parameters d16;
+    d16.dimensions = 16;
+    sets.emplace_back("d=16", d16);
+    Node2Vec::Parameters d32;
+    d32.dimensions = 32;
+    d32.seed = 11;
+    sets.emplace_back("d=32,seed=11", d32);
+
+    for (const auto& [graphName, graph] : graphs) {
+        const Graph& g = *graph;
+        for (auto [setName, params] : sets) {
+            // The 300-residue RIN walks 10 steps, as the pipeline does, so
+            // the test stays fast under the sanitizers.
+            if (graph == &helixRin) params.walkLength = 10;
+            SCOPED_TRACE(std::string(graphName) + " / " + setName);
+            Node2Vec n2v(g, params);
+            n2v.run();
+            const ReferenceNode2Vec ref = referenceNode2Vec(g, params);
+            EXPECT_EQ(n2v.walks(), ref.walks);
+            EXPECT_TRUE(n2v.features() == ref.emb) << "embeddings differ";
+        }
+    }
+}
+
+TEST(CdfGuideTable, EqualsLowerBoundEverywhere) {
+    const auto reference = [](const std::vector<double>& cdf, double x) {
+        return static_cast<index>(std::lower_bound(cdf.begin(), cdf.end(), x) -
+                                  cdf.begin());
+    };
+    Rng rng(42);
+    for (int trial = 0; trial < 200; ++trial) {
+        // Random weights, a third of them zero (cdf plateaus), sometimes a
+        // leading or trailing run of zeros; the first trials are tiny.
+        const count n = trial < 20 ? static_cast<count>(trial) + 1 : rng.pick(300) + 1;
+        std::vector<double> cdf(n);
+        double total = 0.0;
+        for (count i = 0; i < n; ++i) {
+            const bool zero = rng.chance(1.0 / 3.0) || (trial % 4 == 1 && i < n / 3) ||
+                              (trial % 4 == 2 && i >= n - n / 3);
+            if (!zero)
+                total += trial % 2 ? std::pow(rng.real(0.0, 5.0), 0.75)
+                                   : rng.real(0.0, 1e-3);
+            cdf[i] = total;
+        }
+        const CdfGuideTable table(cdf);
+        std::vector<double> probes = {0.0, -1.0, total, std::nextafter(total, 0.0),
+                                      total * 2.0 + 1.0};
+        for (double c : cdf) {
+            probes.push_back(c); // exactly on a cdf value
+            probes.push_back(std::nextafter(c, -1.0));
+            probes.push_back(std::nextafter(c, total * 4.0 + 1.0));
+        }
+        for (count b = 0; b <= n; ++b) {
+            const double edge = static_cast<double>(b) * (total / static_cast<double>(n));
+            probes.push_back(edge); // exactly on a bin edge
+            probes.push_back(std::nextafter(edge, -1.0));
+            probes.push_back(std::nextafter(edge, total * 4.0 + 1.0));
+        }
+        for (int k = 0; k < 200; ++k) probes.push_back(rng.real01() * total);
+        for (double x : probes)
+            ASSERT_EQ(table.lowerBound(x), reference(cdf, x))
+                << "trial " << trial << ", n " << n << ", x " << x << ", total " << total;
+    }
+    // No positive weight at all: every query still answers like lower_bound.
+    const std::vector<double> zeros(5, 0.0);
+    const CdfGuideTable flat(zeros);
+    for (double x : {-1.0, 0.0, 0.5})
+        EXPECT_EQ(flat.lowerBound(x), reference(zeros, x)) << "x " << x;
+    EXPECT_EQ(CdfGuideTable({}).lowerBound(0.0), 0u);
 }
 
 } // namespace

@@ -1046,6 +1046,72 @@ TEST_F(ObsTest, CompletedAndRejectedRequestsReachBothSinks) {
     sampler->uninstall();
 }
 
+TEST_F(ObsTest, SessionCloseAndShutdownFinishTheirBacklog) {
+    Tracer::global().setSampleEvery(0); // every request root is forced
+    const auto traj = slowTrajectory();
+    serve::SessionServiceOptions options;
+    options.workers = 1;
+    options.slo = std::make_shared<obs::SloEngine>();
+    auto sampler = std::make_shared<obs::TailSampler>();
+    sampler->install();
+    options.tailSampler = sampler;
+    serve::SessionService service(options);
+    const auto closed = service.openSession(traj);
+    const auto shut = service.openSession(traj);
+    service.drain();
+
+    // Five events per session on one worker: whatever the worker has not
+    // started when the close lands stays queued (a same-kind event merges
+    // into a queued slot). closeSession rejects the first session's
+    // backlog, shutdown() the second's.
+    const auto backlog = [&](serve::SessionId id) {
+        std::vector<std::future<serve::RequestOutcome>> futures;
+        futures.push_back(service.submit(id, serve::SliderEvent::setFrame(1)));
+        futures.push_back(service.submit(id, serve::SliderEvent::setCutoff(6.0)));
+        futures.push_back(
+            service.submit(id, serve::SliderEvent::setMeasure(viz::Measure::Degree)));
+        futures.push_back(service.submit(id, serve::SliderEvent::setFrame(2)));
+        futures.push_back(service.submit(id, serve::SliderEvent::setCutoff(7.5)));
+        return futures;
+    };
+    auto futures = backlog(closed);
+    service.closeSession(closed);
+    auto more = backlog(shut);
+    service.shutdown();
+    futures.insert(futures.end(), std::make_move_iterator(more.begin()),
+                   std::make_move_iterator(more.end()));
+
+    count rejected = 0;
+    for (auto& f : futures) {
+        const auto outcome = f.get();
+        EXPECT_NE(outcome.traceId, 0u);
+        if (!outcome.accepted()) {
+            ++rejected;
+            EXPECT_EQ(outcome.sloVerdict, serve::SloVerdict::Rejected);
+        }
+    }
+    service.drain();
+    // An update cycle takes milliseconds and a submit microseconds, so the
+    // closes find queued slots.
+    ASSERT_GE(rejected, 1u);
+
+    // Every trace opened at submit was finished; none is left pending.
+    const auto stats = sampler->stats();
+    EXPECT_EQ(stats.finished, stats.opened);
+    EXPECT_EQ(sampler->pendingCount(), 0u);
+    const auto snap = service.metrics();
+    EXPECT_EQ(snap.counter("submitted") + snap.counter("adopted"),
+              snap.counter("completed") + snap.counter("coalesced") +
+                  snap.counter("rejected") + snap.counter("handed_off"));
+    EXPECT_EQ(stats.finished, snap.counter("completed") + snap.counter("rejected"));
+    for (const auto& objective : options.slo->evaluate()) {
+        if (objective.kind != obs::SloKind::ShedRate) continue;
+        EXPECT_EQ(objective.good, snap.counter("completed"));
+        EXPECT_EQ(objective.bad, snap.counter("rejected"));
+    }
+    sampler->uninstall();
+}
+
 TEST_F(ObsTest, ExportedExemplarsAlwaysNameRetainedTraces) {
     Tracer::global().setSampleEvery(0);
     const auto traj = tinyTrajectory();
