@@ -4,8 +4,8 @@
 # code; the sanitizers are what catches an off-by-one in the CSR layout).
 #
 # Usage: scripts/verify.sh [--skip-sanitizers | --tsan | --serve-stress | --obs | --layout | --wire | --dynamic | --cluster | --speculate]
-#   --tsan  additionally builds the parallel kernels (centrality /
-#           community: OpenMP array reductions, batched MS-BFS, atomic
+#   --tsan  additionally builds the parallel kernels (centrality: fixed-
+#           order block reductions, batched MS-BFS; community: serial
 #           local moving), the dynamic suite (test_dyn: BFS level repair,
 #           the diff-maintained KADABRA sample set, the measure engine's
 #           tiers) plus the serving layer (test_serve: thread pool, session
@@ -66,10 +66,13 @@
 # their TSan binaries with OMP_NUM_THREADS=1. libgomp is not
 # TSan-instrumented: with its default team size every report those suites
 # produced had libgomp frames, and they ran for tens of minutes. OpenMP
-# thread-count determinism stays covered outside TSan: the tier-1 layout
-# suite compares 1, 2 and 8 threads
-# (MultilevelMaxentStress.DeterministicAcrossThreadCounts), and the
-# benchmark's pipeline workload compares 1 and N threads on every run.
+# thread-count determinism stays covered outside TSan by two tier-1 tests
+# that compare results with == at several thread counts: the layout suite
+# at 1, 2 and 8 threads
+# (MultilevelMaxentStress.DeterministicAcrossThreadCounts), and the viz
+# suite at 1, 2, 4 and 8 threads for every measure kernel
+# (Measures.BitIdenticalAcrossThreadCounts). The benchmark's pipeline
+# workload compares 1 and N threads only within tolerances.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -94,16 +97,12 @@ if [[ "${1:-}" == "--tsan" ]]; then
         -DCMAKE_CXX_FLAGS="$TSAN_FLAGS" \
         -DCMAKE_EXE_LINKER_FLAGS="$TSAN_FLAGS" >/dev/null
     cmake --build build-tsan -j "$JOBS" --target test_centrality test_dyn test_community test_serve
-    # PLM/PLP intentionally race on community labels (benign by design,
-    # same as NetworKit); TSan still reports them, so races are surfaced
-    # as a report count rather than a hard failure, while centrality, the
-    # dynamic suite, and the serving layer — which must be race-free —
-    # fail on any report.
+    # Every suite must be race-free: the community detectors move nodes
+    # serially, so test_community fails on any report like the others.
     tsan ./build-tsan/tests/test_centrality
     tsan ./build-tsan/tests/test_dyn
     tsan ./build-tsan/tests/test_serve
-    tsan ./build-tsan/tests/test_community ||
-        echo "warning: TSan reported races in community suite (label propagation races are by design; inspect the log above)"
+    tsan ./build-tsan/tests/test_community
     echo "== TSan OK =="
     exit 0
 fi

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "src/components/csr_bfs.hpp"
+#include "src/support/parallel.hpp"
 #include "src/support/random.hpp"
 
 namespace rinkit {
@@ -64,38 +65,37 @@ void ApproxCloseness::runImpl(const CsrView& v) {
     std::vector<node> pivots(pivots_);
     for (auto& p : pivots) p = static_cast<node>(rng.pick(n));
 
-    std::vector<double> inv(n, 0.0), dist(n, 0.0), reach(n, 0.0);
-    double* pi = inv.data();
-    double* pd = dist.data();
-    double* pr = reach.data();
-#pragma omp parallel
-    {
-        CsrBfs bfs(v);
-#pragma omp for schedule(dynamic, 4) reduction(+ : pi[:n]) reduction(+ : pd[:n]) \
-    reduction(+ : pr[:n])
-        for (long long i = 0; i < static_cast<long long>(pivots.size()); ++i) {
-            bfs.run(pivots[static_cast<size_t>(i)]);
+    // Harmonic needs sum 1/d per node; Standard needs the reached count
+    // and the distance sum, stored as [reach | dist].
+    const bool harmonic = variant_ == Variant::Harmonic;
+    std::vector<double> sums(harmonic ? n : 2 * n, 0.0);
+    orderedAccumulate(
+        pivots.size(), sums.size(), sums.data(), [&] { return CsrBfs(v); },
+        [&](CsrBfs& bfs, index i, double* acc) {
+            bfs.run(pivots[i]);
             for (node u : bfs.order()) {
                 const double d = static_cast<double>(bfs.levelOf(u));
-                pr[u] += 1.0;
-                pd[u] += d;
-                if (d > 0.0) pi[u] += 1.0 / d;
+                if (harmonic) {
+                    if (d > 0.0) acc[u] += 1.0 / d;
+                } else {
+                    acc[u] += 1.0;
+                    acc[n + u] += d;
+                }
             }
-        }
-    }
+        });
 
     const double k = static_cast<double>(pivots_);
     const double nd = static_cast<double>(n);
     for (node u = 0; u < n; ++u) {
-        if (variant_ == Variant::Harmonic) {
+        if (harmonic) {
             // (n/k) * sum over pivots of 1/d estimates sum_t 1/d(t,u).
-            const double sum = nd / k * inv[u];
+            const double sum = nd / k * sums[u];
             scores_[u] = normalized_ && n > 1 ? sum / (nd - 1.0) : sum;
         } else {
             // Estimated reached count and distance sum plugged into the
             // Wasserman-Faust composite (heuristic semantics; see header).
-            const double rHat = nd / k * reach[u];
-            const double sumHat = nd / k * dist[u];
+            const double rHat = nd / k * sums[u];
+            const double sumHat = nd / k * sums[n + u];
             if (rHat <= 1.0 || sumHat == 0.0) continue;
             double c = (rHat - 1.0) / sumHat;
             if (normalized_ && n > 1) c *= (rHat - 1.0) / (nd - 1.0);

@@ -1,10 +1,9 @@
 #include "src/centrality/betweenness.hpp"
 
-#include <omp.h>
-
-#include <algorithm>
 #include <cstdint>
 #include <vector>
+
+#include "src/support/parallel.hpp"
 
 namespace rinkit {
 
@@ -217,16 +216,12 @@ private:
 };
 
 template <bool Branchless>
-void accumulateAllSources(const PaddedCsr& csr, int threads, double* sc) {
-    const count n = csr.n;
-#pragma omp parallel num_threads(threads)
-    {
-        BrandesWorker<Branchless> worker(csr);
-#pragma omp for schedule(dynamic, 8) reduction(+ : sc[:n])
-        for (long long si = 0; si < static_cast<long long>(n); ++si) {
-            worker.source(static_cast<node>(si), sc);
-        }
-    }
+void accumulateAllSources(const PaddedCsr& csr, double* sc) {
+    orderedAccumulate(
+        csr.n, csr.n, sc, [&] { return BrandesWorker<Branchless>(csr); },
+        [](BrandesWorker<Branchless>& worker, index s, double* acc) {
+            worker.source(static_cast<node>(s), acc);
+        });
 }
 
 } // namespace
@@ -238,11 +233,6 @@ void Betweenness::runImpl(const CsrView& v) {
         return;
     }
 
-    // Cap the team so tiny graphs don't pay threads * n reduction buffers
-    // for a handful of sources.
-    const int threads = static_cast<int>(std::clamp<long long>(
-        static_cast<long long>(n) / 32, 1, omp_get_max_threads()));
-
     const PaddedCsr csr(v);
     // Unpadded average degree decides the discovery style (see
     // BrandesWorker): low-cutoff RINs sit well below the crossover, dense
@@ -250,9 +240,9 @@ void Betweenness::runImpl(const CsrView& v) {
     const double avgDeg =
         static_cast<double>(v.offsets()[n]) / static_cast<double>(n);
     if (avgDeg < 12.0) {
-        accumulateAllSources<true>(csr, threads, scores_.data());
+        accumulateAllSources<true>(csr, scores_.data());
     } else {
-        accumulateAllSources<false>(csr, threads, scores_.data());
+        accumulateAllSources<false>(csr, scores_.data());
     }
 
     // Each unordered pair {s, t} was counted twice (once per direction).

@@ -5,13 +5,15 @@
 namespace rinkit {
 
 /// Exact betweenness centrality (Brandes 2001), OpenMP-parallel over
-/// sources with per-thread accumulators.
+/// sources. Sources are split into fixed blocks (orderedAccumulate), each
+/// with its own accumulator, summed in block order: the scores are the same
+/// bits at any thread count.
 ///
 /// High betweenness marks residues in protein-protein interfaces and on
 /// information-flow paths through the protein (Jiao & Ranganathan 2017;
 /// Stetz & Verkhivker 2017) — the second named measure in the paper's
 /// widget. O(n * m); exact computation is the right choice for RIN-sized
-/// graphs (100-1000 nodes), while ApproxBetweenness covers large inputs.
+/// graphs (100-1000 nodes), while KadabraBetweenness covers large inputs.
 class Betweenness final : public CentralityAlgorithm {
 public:
     explicit Betweenness(const Graph& g, bool normalized = false)

@@ -45,20 +45,15 @@ void EigenvectorCentrality::runImpl(const CsrView& v) {
         // Shifted iteration (A + I): identical eigenvectors, but the
         // dominant eigenvalue is strictly largest in magnitude even on
         // bipartite graphs (plain power iteration oscillates there).
-        double norm = 0.0;
-#pragma omp parallel for schedule(static) reduction(+ : norm)
-        for (long long i = 0; i < static_cast<long long>(n); ++i) {
+        const double norm = std::sqrt(orderedSum(n, [&](index i) {
             y[i] += x[i];
-            norm += y[i] * y[i];
-        }
-        norm = std::sqrt(norm);
+            return y[i] * y[i];
+        }));
         if (norm == 0.0) break; // edgeless graph
-        double diff = 0.0;
-#pragma omp parallel for schedule(static) reduction(+ : diff)
-        for (long long i = 0; i < static_cast<long long>(n); ++i) {
+        const double diff = orderedSum(n, [&](index i) {
             y[i] /= norm;
-            diff += std::abs(y[i] - x[i]);
-        }
+            return std::abs(y[i] - x[i]);
+        });
         x.swap(y);
         if (diff < tol_) {
             ++iterations_;
@@ -84,12 +79,10 @@ void KatzCentrality::runImpl(const CsrView& v) {
     std::vector<double> x(n, 0.0), y(n, 0.0);
     for (count it = 0; it < maxIterations_; ++it) {
         gather(v, x, y);
-        double diff = 0.0;
-#pragma omp parallel for schedule(static) reduction(+ : diff)
-        for (long long i = 0; i < static_cast<long long>(n); ++i) {
+        const double diff = orderedSum(n, [&](index i) {
             y[i] = effectiveAlpha_ * y[i] + beta_;
-            diff += std::abs(y[i] - x[i]);
-        }
+            return std::abs(y[i] - x[i]);
+        });
         x.swap(y);
         if (diff < tol_) break;
     }

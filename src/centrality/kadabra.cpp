@@ -179,6 +179,7 @@ void KadabraBetweenness::runImpl(const CsrView& v) {
 #pragma omp parallel
         {
             BiSampler sampler(v);
+            // Whole path counts: integer sums are exact in any order.
 #pragma omp for schedule(dynamic, 16) reduction(+ : cnt[:n])
             for (long long i = 0; i < static_cast<long long>(round); ++i) {
                 // Per-sample generator keyed by the global sample index, so

@@ -9,7 +9,7 @@ namespace rinkit {
 /// Adaptive-sampling approximate betweenness (KADABRA-style, after
 /// Borassi & Natale 2016).
 ///
-/// Like ApproxBetweenness (Riondato-Kornaropoulos) the estimator samples
+/// Like Riondato-Kornaropoulos sampling, the estimator samples
 /// uniform random (s, t) pairs, draws one shortest s-t path uniformly at
 /// random, and credits its interior vertices — per sample each vertex's
 /// contribution is a 0/1 variable whose mean is its (pair-normalized)
@@ -31,8 +31,10 @@ namespace rinkit {
 ///    to the partial path counts yields a uniform shortest path while
 ///    exploring a fraction of the graph per sample.
 ///
-/// Scores use the same scale as ApproxBetweenness (fraction of sampled
-/// paths), so viz::MeasureEngine can treat the two interchangeably.
+/// Scores are fractions of sampled paths, i.e. betweenness normalized by
+/// the n(n-1) ordered pairs. Each sample draws from its own generator keyed
+/// by the sample index and the counts are whole numbers, so the scores are
+/// the same bits at any thread count.
 class KadabraBetweenness final : public CentralityAlgorithm {
 public:
     explicit KadabraBetweenness(const Graph& g, double epsilon = 0.05,

@@ -35,18 +35,15 @@ void PageRank::runImpl(const CsrView& v) {
         // Dangling (isolated) nodes redistribute their mass uniformly.
         // Precompute rank[v] / wdeg(v) once per iteration so the gather
         // below is a pure O(m) pass instead of a divide per arc.
-        double danglingMass = 0.0;
-#pragma omp parallel for schedule(static) reduction(+ : danglingMass)
-        for (long long ui = 0; ui < static_cast<long long>(n); ++ui) {
-            const node u = static_cast<node>(ui);
-            const double wd = v.weightedDegree(u);
+        const double danglingMass = orderedSum(n, [&](index u) {
+            const double wd = v.weightedDegree(static_cast<node>(u));
             if (wd == 0.0) {
-                danglingMass += rank[u];
                 scaled[u] = 0.0;
-            } else {
-                scaled[u] = rank[u] / wd;
+                return rank[u];
             }
-        }
+            scaled[u] = rank[u] / wd;
+            return 0.0;
+        });
 
         const double base = (1.0 - damping_) * uniform + damping_ * danglingMass * uniform;
         parallelFor(n, [&](index ui) {
@@ -61,11 +58,8 @@ void PageRank::runImpl(const CsrView& v) {
             next[u] = base + damping_ * in;
         });
 
-        double diff = 0.0;
-#pragma omp parallel for schedule(static) reduction(+ : diff)
-        for (long long ui = 0; ui < static_cast<long long>(n); ++ui) {
-            diff += std::abs(next[ui] - rank[ui]);
-        }
+        const double diff =
+            orderedSum(n, [&](index u) { return std::abs(next[u] - rank[u]); });
         rank.swap(next);
         if (diff < tol_) {
             ++iterations_;

@@ -1,14 +1,12 @@
 #include "src/community/plm.hpp"
 
-#include <omp.h>
-
 #include "src/support/random.hpp"
 
 namespace rinkit {
 
 namespace {
 
-/// Per-thread scratch map for neighbor-community weights, reset in O(touched).
+/// Scratch map for neighbor-community weights, reset in O(touched).
 struct NeighborWeights {
     std::vector<double> weightTo;
     std::vector<index> touched;
@@ -42,16 +40,17 @@ bool Plm::localMoving(const louvain::CoarseGraph& cg, Partition& zeta, double ga
     const node* tgt = cg.csr.targets();
     const edgeweight* wts = cg.csr.weights();
 
-    // Community volumes; updated with atomics as nodes move.
     std::vector<double> volCom(n, 0.0);
     for (node u = 0; u < n; ++u) volCom[zeta[u]] += cg.volume(u);
 
-    // Randomized node order decorrelates parallel moves across rounds.
+    // Sequential moves in a seeded random order: each node sees every
+    // earlier move, so the result is a function of (graph, seed) alone.
     std::vector<node> order(n);
     for (node u = 0; u < n; ++u) order[u] = u;
     Rng orderRng(seed);
     orderRng.shuffle(order);
 
+    NeighborWeights nw(n);
     bool movedAny = false;
     bool movedThisRound = true;
     count rounds = 0;
@@ -60,47 +59,39 @@ bool Plm::localMoving(const louvain::CoarseGraph& cg, Partition& zeta, double ga
     while (movedThisRound && rounds < maxRounds) {
         movedThisRound = false;
         ++rounds;
-#pragma omp parallel
-        {
-            NeighborWeights nw(n);
-#pragma omp for schedule(dynamic, 64) reduction(|| : movedThisRound)
-            for (long long i = 0; i < static_cast<long long>(n); ++i) {
-                const node u = order[static_cast<size_t>(i)];
-                const index cu = zeta[u];
-                const double volU = cg.volume(u);
+        for (node u : order) {
+            const index cu = zeta[u];
+            const double volU = cg.volume(u);
 
-                nw.reset();
-                const count end = off[u + 1];
-                if (wts) {
-                    for (count a = off[u]; a < end; ++a) nw.add(zeta[tgt[a]], wts[a]);
-                } else {
-                    for (count a = off[u]; a < end; ++a) nw.add(zeta[tgt[a]], 1.0);
-                }
+            nw.reset();
+            const count end = off[u + 1];
+            if (wts) {
+                for (count a = off[u]; a < end; ++a) nw.add(zeta[tgt[a]], wts[a]);
+            } else {
+                for (count a = off[u]; a < end; ++a) nw.add(zeta[tgt[a]], 1.0);
+            }
 
-                // delta(u: C->D) = (w(u,D) - w(u,C\u))/m
-                //                  - gamma * volU * (volD - (volC - volU)) / (2 m^2)
-                const double wUC = nw.weightTo[cu];
-                const double volCWithoutU = volCom[cu] - volU;
-                index bestCom = cu;
-                double bestDelta = 0.0;
-                for (index d : nw.touched) {
-                    if (d == cu) continue;
-                    const double delta = (nw.weightTo[d] - wUC) / m -
-                                         gamma * volU * (volCom[d] - volCWithoutU) * m2sqInv;
-                    if (delta > bestDelta + 1e-15) {
-                        bestDelta = delta;
-                        bestCom = d;
-                    }
+            // delta(u: C->D) = (w(u,D) - w(u,C\u))/m
+            //                  - gamma * volU * (volD - (volC - volU)) / (2 m^2)
+            const double wUC = nw.weightTo[cu];
+            const double volCWithoutU = volCom[cu] - volU;
+            index bestCom = cu;
+            double bestDelta = 0.0;
+            for (index d : nw.touched) {
+                if (d == cu) continue;
+                const double delta = (nw.weightTo[d] - wUC) / m -
+                                     gamma * volU * (volCom[d] - volCWithoutU) * m2sqInv;
+                if (delta > bestDelta + 1e-15) {
+                    bestDelta = delta;
+                    bestCom = d;
                 }
+            }
 
-                if (bestCom != cu) {
-#pragma omp atomic
-                    volCom[cu] -= volU;
-#pragma omp atomic
-                    volCom[bestCom] += volU;
-                    zeta[u] = bestCom;
-                    movedThisRound = true;
-                }
+            if (bestCom != cu) {
+                volCom[cu] -= volU;
+                volCom[bestCom] += volU;
+                zeta[u] = bestCom;
+                movedThisRound = true;
             }
         }
         movedAny = movedAny || movedThisRound;

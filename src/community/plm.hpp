@@ -7,12 +7,15 @@
 
 namespace rinkit {
 
-/// PLM — parallel Louvain method for modularity maximization
+/// PLM — the Louvain method for modularity maximization as in NetworKit
 /// (Staudt & Meyerhenke 2016), the algorithm behind the community coloring
 /// in the paper's Fig. 3.
 ///
-/// Multi-level scheme: parallel local moving until stable, contraction of
-/// communities into super-nodes, recursion, prolongation. With
+/// Multi-level scheme: sequential local moving in a seeded random node
+/// order until stable, contraction of communities into super-nodes,
+/// recursion, prolongation. The moves run serially: on RIN-sized graphs
+/// OpenMP moves bought under 1 ms and made the partition depend on the
+/// thread schedule (see EXPERIMENTS.md). With
 /// `refine = true`, an additional local-moving pass runs after each
 /// prolongation (the "PLM-R" variant), which typically buys a little extra
 /// modularity for one more pass per level.

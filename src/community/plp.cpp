@@ -21,53 +21,45 @@ void Plp::runImpl(const CsrView& v) {
     for (node u = 0; u < n; ++u) order[u] = u;
     Rng rng(seed_);
     rng.shuffle(order);
-    RandomPool pool(seed_);
 
+    std::vector<double> weightTo(n, 0.0);
+    std::vector<index> touched;
+    touched.reserve(64);
     const count threshold = std::max<count>(1, n / 100000);
     count updated = n;
     while (updated > threshold && iterations_ < maxIterations_) {
         updated = 0;
         ++iterations_;
-#pragma omp parallel
-        {
-            std::vector<double> weightTo(n, 0.0);
-            std::vector<index> touched;
-            touched.reserve(64);
-            auto& rngLocal = pool.local();
-#pragma omp for schedule(dynamic, 64) reduction(+ : updated)
-            for (long long i = 0; i < static_cast<long long>(n); ++i) {
-                const node u = order[static_cast<size_t>(i)];
-                const count end = off[u + 1];
-                if (off[u] == end) continue;
+        for (node u : order) {
+            const count end = off[u + 1];
+            if (off[u] == end) continue;
 
-                touched.clear();
-                for (count a = off[u]; a < end; ++a) {
-                    const index lab = zeta_[tgt[a]];
-                    if (weightTo[lab] == 0.0) touched.push_back(lab);
-                    weightTo[lab] += wts ? wts[a] : 1.0;
-                }
+            touched.clear();
+            for (count a = off[u]; a < end; ++a) {
+                const index lab = zeta_[tgt[a]];
+                if (weightTo[lab] == 0.0) touched.push_back(lab);
+                weightTo[lab] += wts ? wts[a] : 1.0;
+            }
 
-                // Heaviest label; ties broken uniformly at random so that
-                // symmetric structures don't deadlock in a checkerboard.
-                double best = 0.0;
+            // Heaviest label. A node whose label is among the heaviest keeps
+            // it (without this rule ties flip labels every round and the
+            // stopping rule never fires); other ties are broken uniformly at
+            // random so that symmetric structures don't deadlock.
+            const index current = zeta_[u];
+            double best = 0.0;
+            for (index lab : touched) best = std::max(best, weightTo[lab]);
+            index bestLab = current;
+            if (weightTo[current] != best) {
                 count tieCount = 0;
-                index bestLab = zeta_[u];
                 for (index lab : touched) {
-                    if (weightTo[lab] > best) {
-                        best = weightTo[lab];
-                        bestLab = lab;
-                        tieCount = 1;
-                    } else if (weightTo[lab] == best) {
-                        ++tieCount;
-                        if (rngLocal.integer(tieCount) == 0) bestLab = lab;
-                    }
+                    if (weightTo[lab] == best && rng.integer(++tieCount) == 0) bestLab = lab;
                 }
-                for (index lab : touched) weightTo[lab] = 0.0;
+            }
+            for (index lab : touched) weightTo[lab] = 0.0;
 
-                if (bestLab != zeta_[u]) {
-                    zeta_[u] = bestLab;
-                    ++updated;
-                }
+            if (bestLab != current) {
+                zeta_[u] = bestLab;
+                ++updated;
             }
         }
     }

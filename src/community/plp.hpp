@@ -6,10 +6,12 @@
 
 namespace rinkit {
 
-/// PLP — parallel label propagation (Raghavan et al. 2007) as in
-/// NetworKit: every node adopts the label with the largest total edge
-/// weight among its neighbors, asynchronously and in parallel, until fewer
-/// than @p updateThreshold nodes change per round.
+/// PLP — label propagation (Raghavan et al. 2007) as in NetworKit: every
+/// node, in a seeded random order, adopts the label with the largest total
+/// edge weight among its neighbors, until fewer than max(1, n / 100000)
+/// nodes change per round. A node whose label is among the heaviest keeps
+/// it. The rounds run serially, so the partition is a function of (graph,
+/// seed) alone.
 ///
 /// Near-linear work per round and very fast in practice, at the price of
 /// lower modularity than the Louvain family — which is exactly the

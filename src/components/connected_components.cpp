@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "src/support/parallel.hpp"
-
 namespace rinkit {
 
 namespace {
@@ -41,37 +39,12 @@ private:
 } // namespace
 
 void ConnectedComponents::run() {
-    if (engine_ == Engine::UnionFind) runUnionFind();
-    else runLabelPropagation();
-    compactLabels();
-    hasRun_ = true;
-}
-
-void ConnectedComponents::runUnionFind() {
     UnionFind uf(g_.numberOfNodes());
     g_.forEdges([&](node u, node v) { uf.unite(u, v); });
     comp_.resize(g_.numberOfNodes());
     for (node u = 0; u < g_.numberOfNodes(); ++u) comp_[u] = uf.find(u);
-}
-
-void ConnectedComponents::runLabelPropagation() {
-    const count n = g_.numberOfNodes();
-    comp_.resize(n);
-    std::iota(comp_.begin(), comp_.end(), 0u);
-    bool changed = true;
-    while (changed) {
-        changed = false;
-#pragma omp parallel for schedule(static) reduction(|| : changed)
-        for (long long ui = 0; ui < static_cast<long long>(n); ++ui) {
-            const node u = static_cast<node>(ui);
-            index best = comp_[u];
-            g_.forNeighborsOf(u, [&](node, node v) { best = std::min(best, comp_[v]); });
-            if (best < comp_[u]) {
-                comp_[u] = best;
-                changed = true;
-            }
-        }
-    }
+    compactLabels();
+    hasRun_ = true;
 }
 
 void ConnectedComponents::compactLabels() {

@@ -6,19 +6,12 @@
 
 namespace rinkit {
 
-/// Connected components of an undirected graph.
-///
-/// Two interchangeable engines:
-///  - UnionFind: sequential, O(m alpha(n)); the default.
-///  - LabelPropagation: OpenMP-parallel iterative min-label spreading, the
-///    scheme NetworKit's ParallelConnectedComponents uses.
-/// Component ids are compacted to [0, numberOfComponents).
+/// Connected components of an undirected graph by sequential union-find,
+/// O(m alpha(n)). Component ids are compacted to [0, numberOfComponents)
+/// in order of each component's smallest node.
 class ConnectedComponents {
 public:
-    enum class Engine { UnionFind, LabelPropagation };
-
-    explicit ConnectedComponents(const Graph& g, Engine engine = Engine::UnionFind)
-        : g_(g), engine_(engine) {}
+    explicit ConnectedComponents(const Graph& g) : g_(g) {}
 
     void run();
 
@@ -48,15 +41,12 @@ public:
     std::vector<node> largestComponent() const;
 
 private:
-    void runUnionFind();
-    void runLabelPropagation();
     void compactLabels();
     void requireRun() const {
         if (!hasRun_) throw std::logic_error("ConnectedComponents: call run() first");
     }
 
     const Graph& g_;
-    Engine engine_;
     std::vector<index> comp_;
     count numComponents_ = 0;
     bool hasRun_ = false;

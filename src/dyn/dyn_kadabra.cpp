@@ -185,6 +185,7 @@ void DynKadabra::init(const CsrView& v, double epsilon, double delta,
 #pragma omp parallel
     {
         GeoScratch w;
+        // Whole path counts: integer sums are exact in any order.
 #pragma omp for schedule(dynamic, 16) reduction(+ : cnt[:n])
         for (long long i = 0; i < static_cast<long long>(target); ++i) {
             Sample& smp = samples_[static_cast<size_t>(i)];
@@ -311,6 +312,7 @@ void DynKadabra::update(const CsrView& v, const EdgeBatch& batch) {
 #pragma omp parallel
     {
         GeoScratch w;
+        // Whole path counts: integer sums are exact in any order.
 #pragma omp for schedule(dynamic, 16) reduction(+ : cnt[:n]) reduction(+ : resampled)
         for (long long i = 0; i < static_cast<long long>(S); ++i) {
             if (!flag[static_cast<size_t>(i)]) continue;

@@ -1,7 +1,5 @@
 #include "src/support/random.hpp"
 
-#include <omp.h>
-
 namespace rinkit {
 
 namespace {
@@ -73,18 +71,6 @@ double Rng::normal() {
     cachedNormal_ = r * std::sin(theta);
     hasCachedNormal_ = true;
     return r * std::cos(theta);
-}
-
-RandomPool::RandomPool(std::uint64_t seed) {
-    const int threads = omp_get_max_threads();
-    rngs_.reserve(static_cast<size_t>(threads));
-    for (int t = 0; t < threads; ++t) {
-        rngs_.emplace_back(seed * 0x9E3779B97F4A7C15ull + static_cast<std::uint64_t>(t) + 1);
-    }
-}
-
-Rng& RandomPool::local() {
-    return rngs_[static_cast<size_t>(omp_get_thread_num()) % rngs_.size()];
 }
 
 } // namespace rinkit

@@ -10,9 +10,10 @@ namespace rinkit {
 
 /// Fast, high-quality PRNG (xoshiro256**) with convenience samplers.
 ///
-/// Deterministic given a seed, cheap to copy, and safe to use one instance
-/// per thread (see RandomPool). Used everywhere randomness is needed so that
-/// experiments are reproducible end to end.
+/// Deterministic given a seed and cheap to copy. Parallel kernels seed one
+/// instance per work item (e.g. per sample index in KadabraBetweenness),
+/// never per thread, so that results do not depend on the thread count. Used everywhere
+/// randomness is needed so that experiments are reproducible end to end.
 class Rng {
 public:
     /// Seeds the generator via SplitMix64 expansion of @p seed.
@@ -63,26 +64,6 @@ private:
     std::uint64_t state_[4];
     bool hasCachedNormal_ = false;
     double cachedNormal_ = 0.0;
-};
-
-/// One independently seeded Rng per OpenMP thread.
-///
-/// Parallel algorithms draw from local() so that no synchronization is
-/// required and results are reproducible for a fixed thread count.
-class RandomPool {
-public:
-    explicit RandomPool(std::uint64_t seed = 1);
-
-    /// Generator of the calling OpenMP thread.
-    Rng& local();
-
-    /// Generator for an explicit thread id (useful in tests).
-    Rng& forThread(int tid) { return rngs_[static_cast<size_t>(tid)]; }
-
-    int size() const { return static_cast<int>(rngs_.size()); }
-
-private:
-    std::vector<Rng> rngs_;
 };
 
 } // namespace rinkit

@@ -117,23 +117,21 @@ TEST(Apsp, SymmetricAndMatchesBfs) {
     for (node v = 0; v < 50; ++v) EXPECT_DOUBLE_EQ(d[17][v], bfs.distance(v));
 }
 
-class ConnectedComponentsP : public ::testing::TestWithParam<ConnectedComponents::Engine> {};
-
-TEST_P(ConnectedComponentsP, SingleComponent) {
+TEST(ConnectedComponents, SingleComponent) {
     const auto g = generators::karateClub();
-    ConnectedComponents cc(g, GetParam());
+    ConnectedComponents cc(g);
     cc.run();
     EXPECT_EQ(cc.numberOfComponents(), 1u);
     EXPECT_EQ(cc.largestComponent().size(), 34u);
 }
 
-TEST_P(ConnectedComponentsP, MultipleComponents) {
+TEST(ConnectedComponents, MultipleComponents) {
     Graph g(7);
     g.addEdge(0, 1);
     g.addEdge(1, 2);
     g.addEdge(3, 4);
     // 5, 6 isolated
-    ConnectedComponents cc(g, GetParam());
+    ConnectedComponents cc(g);
     cc.run();
     EXPECT_EQ(cc.numberOfComponents(), 4u);
     EXPECT_EQ(cc.componentOf(0), cc.componentOf(2));
@@ -146,44 +144,24 @@ TEST_P(ConnectedComponentsP, MultipleComponents) {
     EXPECT_EQ(cc.largestComponent().size(), 3u);
 }
 
-TEST_P(ConnectedComponentsP, EmptyAndEdgeless) {
+TEST(ConnectedComponents, EmptyAndEdgeless) {
     Graph empty;
-    ConnectedComponents cc0(empty, GetParam());
+    ConnectedComponents cc0(empty);
     cc0.run();
     EXPECT_EQ(cc0.numberOfComponents(), 0u);
 
     Graph iso(5);
-    ConnectedComponents cc1(iso, GetParam());
+    ConnectedComponents cc1(iso);
     cc1.run();
     EXPECT_EQ(cc1.numberOfComponents(), 5u);
 }
 
-TEST_P(ConnectedComponentsP, LabelsAreCompact) {
+TEST(ConnectedComponents, LabelsAreCompact) {
     const auto g = generators::erdosRenyi(200, 0.005, 33);
-    ConnectedComponents cc(g, GetParam());
+    ConnectedComponents cc(g);
     cc.run();
     const auto& comp = cc.components();
     for (index c : comp) EXPECT_LT(c, cc.numberOfComponents());
-}
-
-INSTANTIATE_TEST_SUITE_P(Engines, ConnectedComponentsP,
-                         ::testing::Values(ConnectedComponents::Engine::UnionFind,
-                                           ConnectedComponents::Engine::LabelPropagation));
-
-TEST(ConnectedComponents, EnginesAgree) {
-    const auto g = generators::erdosRenyi(300, 0.004, 77);
-    ConnectedComponents a(g, ConnectedComponents::Engine::UnionFind);
-    ConnectedComponents b(g, ConnectedComponents::Engine::LabelPropagation);
-    a.run();
-    b.run();
-    ASSERT_EQ(a.numberOfComponents(), b.numberOfComponents());
-    // Same partition up to renaming: node pairs agree on same/different.
-    for (node u = 0; u < 300; u += 7) {
-        for (node v = u + 1; v < 300; v += 13) {
-            EXPECT_EQ(a.componentOf(u) == a.componentOf(v),
-                      b.componentOf(u) == b.componentOf(v));
-        }
-    }
 }
 
 TEST(ConnectedComponents, RequiresRun) {

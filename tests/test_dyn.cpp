@@ -188,6 +188,24 @@ TEST(KadabraBetweenness, WithinBoundOfExactOnKarate) {
     EXPECT_LE(worst, eps);
 }
 
+TEST(KadabraBetweenness, InvalidParametersThrow) {
+    const auto g = generators::karateClub();
+    EXPECT_THROW(KadabraBetweenness(g, 0.0, 0.1), std::invalid_argument);
+    EXPECT_THROW(KadabraBetweenness(g, 1.5, 0.1), std::invalid_argument);
+    EXPECT_THROW(KadabraBetweenness(g, 0.1, 0.0), std::invalid_argument);
+    EXPECT_THROW(KadabraBetweenness(g, 0.1, 1.0), std::invalid_argument);
+}
+
+TEST(KadabraBetweenness, TinyGraphIsZero) {
+    Graph g(2);
+    g.addEdge(0, 1);
+    KadabraBetweenness kb(g, 0.1, 0.1);
+    kb.run();
+    EXPECT_DOUBLE_EQ(kb.score(0), 0.0);
+    EXPECT_DOUBLE_EQ(kb.score(1), 0.0);
+    EXPECT_EQ(kb.numberOfSamples(), 0u);
+}
+
 TEST(DynKadabra, WithinStatedBoundOverRandomDiffs) {
     // The maintained sample set must keep its (eps, delta) guarantee after
     // arbitrary diff sequences: compare against from-scratch exact

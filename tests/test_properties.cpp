@@ -3,16 +3,14 @@
 // must hold on any input.
 #include <gtest/gtest.h>
 
-#include <omp.h>
-
 #include <set>
 
-#include "src/centrality/approx_betweenness.hpp"
 #include "src/centrality/betweenness.hpp"
 #include "src/centrality/closeness.hpp"
 #include "src/centrality/core_decomposition.hpp"
 #include "src/centrality/degree.hpp"
 #include "src/centrality/eigenvector.hpp"
+#include "src/centrality/kadabra.hpp"
 #include "src/centrality/local_clustering.hpp"
 #include "src/centrality/pagerank.hpp"
 #include "src/community/leiden.hpp"
@@ -323,18 +321,13 @@ TEST_P(KernelEquivalenceP, OwnedAndBorrowedSnapshotsScoreIdentically) {
     const auto g = generators::erdosRenyi(80, 0.04, GetParam());
     const auto v = CsrView::fromGraph(g);
 
-    // Community detectors move nodes under OpenMP atomics, which is
-    // nondeterministic across thread counts; pin to one thread so both
-    // paths see the same move order.
-    const int threadsBefore = omp_get_max_threads();
-    omp_set_num_threads(1);
     expectOwnedEqualsBorrowed<DegreeCentrality>(g, v, "Degree", true);
     expectOwnedEqualsBorrowed<ClosenessCentrality>(g, v, "Closeness");
     expectOwnedEqualsBorrowed<ClosenessCentrality>(
         g, v, "Harmonic", ClosenessCentrality::Variant::Harmonic);
     expectOwnedEqualsBorrowed<Betweenness>(g, v, "Betweenness", true);
-    expectOwnedEqualsBorrowed<ApproxBetweenness>(g, v, "ApproxBetweenness", 0.1,
-                                                 0.1, std::uint64_t{7});
+    expectOwnedEqualsBorrowed<KadabraBetweenness>(g, v, "KadabraBetweenness", 0.1,
+                                                  0.1, std::uint64_t{7});
     expectOwnedEqualsBorrowed<PageRank>(g, v, "PageRank");
     expectOwnedEqualsBorrowed<EigenvectorCentrality>(g, v, "Eigenvector");
     expectOwnedEqualsBorrowed<KatzCentrality>(g, v, "Katz");
@@ -344,7 +337,6 @@ TEST_P(KernelEquivalenceP, OwnedAndBorrowedSnapshotsScoreIdentically) {
     expectOwnedEqualsBorrowed<ParallelLeiden>(g, v, "Leiden");
     expectOwnedEqualsBorrowed<LouvainMapEquation>(g, v, "MapEquation");
     expectOwnedEqualsBorrowed<Plp>(g, v, "Plp");
-    omp_set_num_threads(threadsBefore);
 }
 
 TEST_P(KernelEquivalenceP, CsrBfsMatchesGraphBfs) {

@@ -103,14 +103,6 @@ TEST(Rng, ShuffleEmptyAndSingleton) {
     EXPECT_EQ(one[0], 42);
 }
 
-TEST(RandomPool, ThreadGeneratorsIndependent) {
-    RandomPool pool(123);
-    ASSERT_GE(pool.size(), 1);
-    // forThread(0) must be reproducible across pools with the same seed.
-    RandomPool pool2(123);
-    EXPECT_EQ(pool.forThread(0).next(), pool2.forThread(0).next());
-}
-
 TEST(Point3, Arithmetic) {
     const Point3 a{1, 2, 3}, b{4, 5, 6};
     EXPECT_EQ(a + b, Point3(5, 7, 9));

@@ -3,12 +3,20 @@
 // RinWidget update cycle.
 #include <gtest/gtest.h>
 
-#include <fstream>
+#include <omp.h>
 
+#include <fstream>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "src/centrality/approx_closeness.hpp"
+#include "src/centrality/kadabra.hpp"
 #include "src/core/rin_explorer.hpp"
 #include "src/graph/generators.hpp"
 #include "src/layout/maxent_stress.hpp"
 #include "src/md/synthetic.hpp"
+#include "src/rin/rin_builder.hpp"
 #include "src/support/json.hpp"
 #include "src/viz/client_model.hpp"
 #include "src/viz/colormap.hpp"
@@ -173,6 +181,56 @@ TEST(Measures, AllComputeOnKarate) {
             }
         }
     }
+}
+
+/// Every kernel the widget serves, by name: the 13 menu measures through
+/// computeMeasure, the two sampling kernels of the engine's tolerant tier,
+/// and one tolerant engine read (the DynKadabra path).
+std::vector<std::pair<std::string, std::vector<double>>> everyKernel(const Graph& g) {
+    const auto v = CsrView::fromGraph(g);
+    std::vector<std::pair<std::string, std::vector<double>>> out;
+    for (Measure m : allMeasures()) out.emplace_back(measureName(m), computeMeasure(g, v, m));
+    KadabraBetweenness kb(g, 0.05, 0.1, 7);
+    kb.run(v);
+    out.emplace_back("KadabraBetweenness", kb.scores());
+    for (auto variant : {ApproxCloseness::Variant::Harmonic,
+                         ApproxCloseness::Variant::Standard}) {
+        ApproxCloseness ac(g, variant, 0.2, 0.1, 7);
+        ac.run(v);
+        EXPECT_FALSE(ac.exactFallback());
+        out.emplace_back("ApproxCloseness", ac.scores());
+    }
+    MeasureEngine engine;
+    MeasureEngine::ResultInfo info;
+    out.emplace_back("engine tolerant betweenness",
+                     engine.scores(g, Measure::Betweenness, {0.1, DegradeLevel::None}, &info));
+    EXPECT_EQ(info.tier, ResolutionTier::Approx);
+    return out;
+}
+
+TEST(Measures, BitIdenticalAcrossThreadCounts) {
+    // Scores and partitions are a function of (graph, seed) alone: the same
+    // bits at 1, 2, 4 and 8 OpenMP threads, and across repeated runs.
+    const md::Protein bundle = md::helixBundle(300);
+    const rin::RinBuilder builder;
+    const Graph graphs[] = {builder.build(bundle, 4.5), builder.build(bundle, 7.5),
+                            generators::erdosRenyi(300, 0.02, 11)};
+    const int savedThreads = omp_get_max_threads();
+    for (const Graph& g : graphs) {
+        omp_set_num_threads(1);
+        const auto reference = everyKernel(g);
+        for (const int threads : {2, 4, 8, 4, 4}) {
+            omp_set_num_threads(threads);
+            const auto got = everyKernel(g);
+            ASSERT_EQ(got.size(), reference.size());
+            for (size_t k = 0; k < got.size(); ++k) {
+                EXPECT_TRUE(got[k].second == reference[k].second)
+                    << got[k].first << " (kernel " << k << ") at " << threads
+                    << " threads, n = " << g.numberOfNodes() << ", m = " << g.numberOfEdges();
+            }
+        }
+    }
+    omp_set_num_threads(savedThreads);
 }
 
 TEST(ClientModel, ParseCostScalesWithPayload) {
